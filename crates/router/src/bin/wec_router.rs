@@ -24,8 +24,8 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use wec_router::server::install_signal_handlers;
 use wec_router::{Router, RouterConfig};
+use wec_serve::daemon::install_signal_handlers;
 
 fn main() {
     let mut addr = "127.0.0.1:8410".to_string();

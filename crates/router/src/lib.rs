@@ -12,8 +12,9 @@
 //!
 //! Same house style as the serve daemon it fronts: std-only, no async
 //! runtime, no HTTP library — hand-rolled framing ([`wec_serve::http`] on
-//! the inbound side, [`client`] on the outbound side), a nonblocking
-//! listener polled every 20 ms, one short-lived thread per connection.
+//! the inbound side, [`client`] on the outbound side), the serve daemon's
+//! blocking accept-and-drain loop ([`wec_serve::daemon`]), one
+//! short-lived thread per connection.
 //!
 //! * [`ring`] — the backend table: rendezvous hashing, health state
 //!   (healthy / draining / dead), and the health-check pass;
@@ -24,9 +25,9 @@
 //!   (`backend << 48 | local`), live backend scrapes, and the
 //!   `wec-router-stats-v1` / Prometheus renderers whose cluster roll-up
 //!   conserves against the embedded backend ledgers on every scrape;
-//! * [`server`] — the accept loop, routing, bounded retry with
-//!   re-sharding around dead or draining backends, speculation hint
-//!   fan-out, and graceful drain (writes `router.json`).
+//! * [`server`] — routing, bounded retry with re-sharding around dead or
+//!   draining backends, speculation hint fan-out, and graceful drain
+//!   (writes `router.json`).
 //!
 //! Binary: `wec_router`.
 

@@ -1,9 +1,10 @@
-//! The router's accept loop, request routing, and graceful drain.
+//! The router's request routing and graceful drain.
 //!
-//! Same concurrency shape as the serve daemon it fronts: a nonblocking
-//! listener polled every 20 ms, one short-lived thread per connection,
-//! one request per connection (`Connection: close`).  A background
-//! health thread probes every backend's `/healthz` on a fixed interval;
+//! Same concurrency shape as the serve daemon it fronts, on the same
+//! blocking accept-and-drain loop ([`wec_serve::daemon`]): one
+//! short-lived thread per connection, one request per connection
+//! (`Connection: close`).  A background health thread probes every
+//! backend's `/healthz` on a fixed interval;
 //! connection threads only *read* ring state (plus failure bookkeeping
 //! on exchanges they themselves attempted), so routing never blocks on
 //! probes.
@@ -45,6 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use wec_serve::daemon;
 use wec_serve::http::{self, Request};
 use wec_serve::JobSpec;
 use wec_telemetry::json::escape_into;
@@ -52,31 +54,6 @@ use wec_telemetry::json::escape_into;
 use crate::client::{self, Response};
 use crate::ring::Backend;
 use crate::state::{decode_id, rewrite_record_id, RouterConfig, RouterState};
-
-/// Set by the SIGTERM/SIGINT handler; folded into the drain flag by the
-/// accept loop (the serve crate's handler stores into its own static, so
-/// the router carries its own).
-static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-/// Route SIGTERM and SIGINT into a graceful drain.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
 
 fn error_json(msg: &str) -> String {
     let mut out = String::from("{\"error\":");
@@ -100,7 +77,6 @@ impl Router {
     /// time the first request lands.
     pub fn bind(addr: &str, cfg: RouterConfig) -> io::Result<Router> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let state = Arc::new(
             RouterState::new(cfg).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?,
         );
@@ -125,40 +101,24 @@ impl Router {
         self.state.clone()
     }
 
-    /// Serve until drained: accept until shutdown is requested and every
-    /// open connection has finished, then stop the health thread and
-    /// write `router.json`.
+    /// Serve until drained: accept until shutdown is requested and no
+    /// connection is open, answer every connection still queued, then stop
+    /// the health thread and write `router.json`.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            if TERMINATE.load(Ordering::SeqCst) {
-                self.state.draining.store(true, Ordering::SeqCst);
-            }
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let st = self.state.clone();
-                    st.inflight.fetch_add(1, Ordering::SeqCst);
-                    let _ = std::thread::Builder::new()
-                        .name("wec-router-conn".to_string())
-                        .spawn(move || {
-                            handle_conn(&st, stream, peer);
-                            st.inflight.fetch_sub(1, Ordering::SeqCst);
-                        });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.state.draining.load(Ordering::SeqCst)
-                        && self.state.inflight.load(Ordering::SeqCst) == 0
-                    {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("wec-router: accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
+        let state = &self.state;
+        // `daemon::run` joins every connection thread before it returns,
+        // so `inflight` is zero again when `router.json` is written.
+        daemon::run(
+            &self.listener,
+            "wec-router",
+            &state.draining,
+            || state.inflight.load(Ordering::SeqCst) == 0,
+            |stream, peer| {
+                state.inflight.fetch_add(1, Ordering::SeqCst);
+                handle_conn(state, stream, peer);
+                state.inflight.fetch_sub(1, Ordering::SeqCst);
+            },
+        )?;
         self.health_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.health {
             let _ = h.join();

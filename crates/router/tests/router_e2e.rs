@@ -66,7 +66,11 @@ type RouterHandle = (
 );
 
 fn start_router(cfg: RouterConfig) -> RouterHandle {
-    let router = Router::bind("127.0.0.1:0", cfg).unwrap();
+    start_router_on("127.0.0.1:0", cfg)
+}
+
+fn start_router_on(bind: &str, cfg: RouterConfig) -> RouterHandle {
+    let router = Router::bind(bind, cfg).unwrap();
     let state = router.state();
     let addr = router.local_addr().unwrap();
     let handle = std::thread::spawn(move || router.run());
@@ -243,6 +247,42 @@ fn router_cfg(backends: Vec<String>) -> RouterConfig {
         health_interval: Duration::from_millis(50),
         ..RouterConfig::default()
     }
+}
+
+/// Join a daemon thread, failing (instead of hanging) if it has not
+/// returned within `secs`.
+fn join_within(handle: std::thread::JoinHandle<std::io::Result<()>>, secs: u64) {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "daemon did not drain within {secs} s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().unwrap().unwrap();
+}
+
+/// Send one request on an open connection and read its whole answer,
+/// which must be complete: no reset, and exactly `Content-Length` body
+/// bytes.  Returns (status, body).
+fn full_answer(mut s: TcpStream, raw: &str) -> (u16, String) {
+    s.write_all(raw.as_bytes()).unwrap();
+    let mut out = String::new();
+    s.read_to_string(&mut out)
+        .unwrap_or_else(|e| panic!("answer cut off after {out:?}: {e}"));
+    let (head, body) = out.split_once("\r\n\r\n").expect("no header terminator");
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length")
+        .parse()
+        .unwrap();
+    assert_eq!(body.len(), len, "truncated body in {out:?}");
+    (
+        head.split_whitespace().nth(1).unwrap().parse().unwrap(),
+        body.to_string(),
+    )
 }
 
 fn drain_backend(addr: SocketAddr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
@@ -699,4 +739,82 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
     let (s, body) = request(raddr, "GET", "/healthz", None);
     assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":false}"));
     drain_router(raddr, hr);
+}
+
+#[test]
+fn idle_round_trips_never_wait_for_an_accept_poll() {
+    let (baddr, hb) = start_backend(backend_cfg(None));
+    let (_state, raddr, hr) = start_router(router_cfg(vec![baddr.to_string()]));
+    // The router's own answer, then one proxied to the backend (an
+    // unknown local id on backend 0: a 404 from the backend, relayed).
+    for (path, want) in [("/healthz", 200), ("/jobs/999999", 404)] {
+        let t = Instant::now();
+        for _ in 0..50 {
+            let (s, body) = request(raddr, "GET", path, None);
+            assert_eq!(s, want, "{body}");
+        }
+        let took = t.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "50 idle GET {path} round trips took {took:?}"
+        );
+    }
+    drain_router(raddr, hr);
+    drain_backend(baddr, hb);
+}
+
+#[test]
+fn wildcard_bound_router_drains_on_shutdown() {
+    let logs = scratch("wildcard-logs");
+    let (_state, bound, hr) = start_router_on(
+        "0.0.0.0:0",
+        RouterConfig {
+            log_dir: Some(logs.clone()),
+            ..router_cfg(vec![dead_addr()])
+        },
+    );
+    assert!(bound.ip().is_unspecified(), "{bound}");
+    // The drain's self-wake must reach a wildcard listener over loopback.
+    let raddr = SocketAddr::from(([127, 0, 0, 1], bound.port()));
+    let (s, _) = request(raddr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(hr, 10);
+    let text = std::fs::read_to_string(logs.join("router.json")).unwrap();
+    schema::validate_router_stats_json(&text).unwrap();
+}
+
+#[test]
+fn connections_open_at_drain_each_get_a_full_answer() {
+    let logs = scratch("open-at-drain-logs");
+    let (state, raddr, hr) = start_router(RouterConfig {
+        log_dir: Some(logs.clone()),
+        ..router_cfg(vec![dead_addr()])
+    });
+    // Connected, request not yet sent: the drain must wait for these.
+    let waiting: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(raddr).unwrap()).collect();
+    let (s, _) = request(raddr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        !hr.is_finished(),
+        "the router drained past open connections"
+    );
+    let submit = raw_request("POST", "/jobs", Some("{\"bench\": \"164.gzip\"}"));
+    let probe = raw_request("GET", "/healthz", None);
+    for (i, conn) in waiting.into_iter().enumerate() {
+        if i % 2 == 0 {
+            let (s, body) = full_answer(conn, &submit);
+            assert_eq!(s, 503, "{body}");
+        } else {
+            let (s, body) = full_answer(conn, &probe);
+            assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":true}"));
+        }
+    }
+    join_within(hr, 10);
+    assert_eq!(state.inflight.load(Ordering::SeqCst), 0);
+    // router.json is written after the last of them, so it counts them.
+    let text = std::fs::read_to_string(logs.join("router.json")).unwrap();
+    schema::validate_router_stats_json(&text).unwrap();
+    let v = json::parse(&text).unwrap();
+    assert_eq!(u64_at(&v, &["router", "rejected"]), 3, "{text}");
 }

@@ -21,9 +21,11 @@
 //!   [`wec_bench::Runner`] (same persistent result store, byte-identical
 //!   cache entries) and replay jobs through
 //!   [`wec_bench::tracerun::replay_point`], panics become failed jobs;
-//! * [`server`] — the accept loop, routing, the `/jobs/<id>/events`
-//!   progress stream (chunked, `progress.jsonl` schema), and graceful
-//!   drain on SIGTERM / `POST /shutdown`;
+//! * [`daemon`] — the blocking accept-and-drain loop and the SIGTERM/SIGINT
+//!   handler, shared with `wec_router`;
+//! * [`server`] — request routing, the `/jobs/<id>/events` progress
+//!   stream (chunked, `progress.jsonl` schema), and graceful drain on
+//!   SIGTERM / `POST /shutdown`;
 //! * [`metrics`] — per-endpoint HTTP request/latency counters and the
 //!   `GET /metrics` Prometheus-style exposition;
 //! * [`ringbuf`] — the fixed-capacity sample ring behind the dashboard
@@ -40,6 +42,7 @@
 //! Binaries: `wec_serve` (the daemon) and `loadgen` (an open-loop load
 //! generator that reports throughput/latency to `BENCH_serve.json`).
 
+pub mod daemon;
 pub mod dashboard;
 pub mod http;
 pub mod job;

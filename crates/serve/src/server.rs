@@ -1,13 +1,14 @@
-//! The accept loop, request routing, and graceful drain.
+//! Request routing and graceful drain.
 //!
-//! The daemon is deliberately boring concurrency: a nonblocking listener
-//! polled every 20 ms, one short-lived thread per connection (one request
-//! per connection, `Connection: close`), and the long-lived worker pool
-//! behind the queue.  Drain — `POST /shutdown` or SIGTERM/SIGINT — flips
-//! one flag: submissions start answering `503`, the accept loop waits for
-//! the outstanding-job count to reach zero, closes the queue, joins the
-//! workers and the sampler, writes `stats.json`, and [`Server::run`]
-//! returns.
+//! The daemon is deliberately boring concurrency: a blocking listener
+//! served by the shared accept loop ([`crate::daemon`]), one short-lived
+//! thread per connection (one request per connection, `Connection:
+//! close`), and the long-lived worker pool behind the queue.  Drain —
+//! `POST /shutdown` or SIGTERM/SIGINT — flips one flag: submissions start
+//! answering `503`, the loop's watcher waits for the outstanding-job count
+//! to reach zero and wakes the loop, which answers every connection still
+//! queued and returns; then the queue closes, the workers and the sampler
+//! are joined, `stats.json` is written, and [`Server::run`] returns.
 //!
 //! Every answered request is observed twice on the way out: counted into
 //! the per-endpoint request/latency metrics behind `GET /metrics`, and
@@ -34,13 +35,14 @@
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wec_telemetry::json::escape_into;
 
+use crate::daemon;
 use crate::dashboard;
 use crate::http::{self, ChunkedWriter, CountingWriter, Request};
 use crate::job::JobState;
@@ -49,32 +51,6 @@ use crate::metrics::endpoint_index;
 use crate::ringbuf::{sample_from, SampleCursor};
 use crate::state::{ServeConfig, ServerState, SubmitError};
 use crate::worker;
-
-/// Set by the SIGTERM/SIGINT handler; the accept loop folds it into the
-/// drain flag on its next poll.
-static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-/// Route SIGTERM and SIGINT into a graceful drain.  Raw `signal(2)` via
-/// the C runtime already linked into every binary — the workspace carries
-/// no libc crate, and a handler that stores one atomic is async-safe.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
-    }
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGTERM, on_signal);
-        signal(SIGINT, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
 
 fn error_json(msg: &str) -> String {
     let mut out = String::from("{\"error\":");
@@ -99,7 +75,6 @@ impl Server {
     /// yields a stable, unique identity per listening daemon.
     pub fn bind(addr: &str, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let mut cfg = cfg;
         if cfg.backend_id.as_deref() == Some("auto") {
             cfg.backend_id = Some(listener.local_addr()?.to_string());
@@ -127,36 +102,20 @@ impl Server {
     /// accepted job is terminal, then close the queue, join the workers
     /// and the sampler, and write the exit logs.
     pub fn run(self) -> io::Result<()> {
-        loop {
-            if TERMINATE.load(Ordering::SeqCst) {
-                self.state.draining.store(true, Ordering::SeqCst);
-            }
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let st = self.state.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("wec-serve-conn".to_string())
-                        .spawn(move || handle_conn(st, stream, peer));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.state.draining.load(Ordering::SeqCst) {
-                        // Queued speculation would hold `outstanding` up
-                        // forever once demand stops; reclaim it so drain
-                        // only waits on real work.
-                        self.state.purge_speculation();
-                        if self.state.outstanding() == 0 {
-                            break;
-                        }
-                    }
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    eprintln!("wec-serve: accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            }
-        }
+        let state = &self.state;
+        daemon::run(
+            &self.listener,
+            "wec-serve",
+            &state.draining,
+            || {
+                // Queued speculation would hold `outstanding` up forever
+                // once demand stops; reclaim it so drain only waits on
+                // real work.
+                state.purge_speculation();
+                state.outstanding() == 0
+            },
+            |stream, peer| handle_conn(state, stream, peer),
+        )?;
         self.state.queue.close();
         for h in self.workers {
             let _ = h.join();
@@ -205,7 +164,7 @@ fn spawn_sampler(state: &Arc<ServerState>) -> Option<JoinHandle<()>> {
         .ok()
 }
 
-fn handle_conn(state: Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
+fn handle_conn(state: &Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
@@ -220,7 +179,7 @@ fn handle_conn(state: Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
     let t = Instant::now();
     match http::read_request(&mut reader) {
         Ok(req) => {
-            if let Ok(status) = route(&state, &req, &client, &mut w) {
+            if let Ok(status) = route(state, &req, &client, &mut w) {
                 let _ = w.flush();
                 let dur_us = t.elapsed().as_micros() as u64;
                 state

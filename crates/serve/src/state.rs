@@ -582,22 +582,119 @@ impl ServerState {
         self.spec_submit(spec)
     }
 
-    /// Record a job's terminal outcome: fill the record, publish the memo,
-    /// release the dedup entry, count it, log it, wake every waiter.
+    /// Record a job's terminal outcome: publish the memo, release the
+    /// dedup entry, count it, then fill the record, log it and wake every
+    /// waiter.  The terminal state is published last, so anyone who reads
+    /// a terminal record (a polling client, a streamer) finds the job
+    /// already counted by `GET /stats` and `GET /metrics`.
     pub fn complete(&self, slot: &Arc<JobSlot>, dedup_key: &str, res: Result<Outcome, String>) {
         // `speculative` is set once at creation and never cleared, so this
         // unlocked-then-locked peek cannot misroute.
         if self.cfg.spec.is_some() && lock(&slot.inner).record.speculative {
             return self.complete_speculative(slot, dedup_key, res);
         }
+        if let Ok(o) = &res {
+            // Memo before dedup release: a racing submission sees either
+            // the in-flight entry or the memo, never neither.
+            self.memoize(dedup_key, o);
+        }
+        lock(&self.inflight).remove(dedup_key);
+        self.count_terminal(&res, None);
+        self.publish_terminal(slot, &res, None);
+    }
+
+    /// Terminal accounting for a job the predictor started.  Takes the
+    /// dedup index lock *first* (claims always hold it), so "did demand
+    /// claim this before it finished?" has exactly one answer — a claimed
+    /// speculation completes like any demand job, an unclaimed one parks
+    /// its result in the memo and the ready index without touching the
+    /// demand counters.  Once the dedup entry is gone no claim can reach
+    /// the slot, so the answer still holds when the record is published.
+    fn complete_speculative(
+        &self,
+        slot: &Arc<JobSlot>,
+        dedup_key: &str,
+        res: Result<Outcome, String>,
+    ) {
+        let mut inflight = lock(&self.inflight);
+        let claimed = lock(&slot.inner).record.submissions > 0;
+        if let Ok(o) = &res {
+            self.memoize(dedup_key, o);
+            if !claimed {
+                self.spec_ready.publish(dedup_key, self.now_ms());
+            }
+        }
+        inflight.remove(dedup_key);
+        drop(inflight);
+        self.count_terminal(&res, Some(claimed));
+        // An unclaimed result is parked, labelled by who produced it.
+        let parked = (!claimed).then_some("spec");
+        self.publish_terminal(slot, &res, parked);
+    }
+
+    fn memoize(&self, dedup_key: &str, o: &Outcome) {
+        lock(&self.memo).insert(
+            dedup_key.to_string(),
+            Arc::new(MemoEntry {
+                metrics: o.metrics.clone(),
+                sim_cycles: o.sim_cycles,
+                attr: o.attr.clone(),
+            }),
+        );
+    }
+
+    /// Count one terminal outcome into the stats and the job histograms.
+    /// `claimed` is `None` for a demand job; for a speculation it says
+    /// whether a demand was waiting on it (normal accounting) or not
+    /// (parked result, or a reclaimed failure — no demand counters move).
+    fn count_terminal(&self, res: &Result<Outcome, String>, claimed: Option<bool>) {
+        let served = claimed.unwrap_or(true);
+        {
+            let mut c = lock(&self.counts);
+            match res {
+                Ok(o) => {
+                    c.sim_cycles += o.sim_cycles;
+                    if let Some(a) = &o.attr {
+                        c.add_attr(a);
+                    }
+                    if served {
+                        c.completed += 1;
+                        match o.source {
+                            "disk" => c.disk_hits += 1,
+                            "mem" => c.mem_hits += 1,
+                            _ => c.cold += 1,
+                        }
+                    }
+                }
+                Err(_) if served => c.failed += 1,
+                // Nobody was waiting; a failed speculation is reclaimed,
+                // not a served failure.
+                Err(_) => c.spec_cancelled += 1,
+            }
+        }
+        if let Ok(o) = res {
+            let source = if served { o.source } else { "spec" };
+            self.metrics.observe_job(source, o.dur_ms);
+        }
+    }
+
+    /// Fill the record and flip it terminal (the last step of a
+    /// completion), release the drain barrier, log the record and wake
+    /// every waiter.  `source` overrides the outcome's cache source.
+    fn publish_terminal(
+        &self,
+        slot: &Arc<JobSlot>,
+        res: &Result<Outcome, String>,
+        source: Option<&'static str>,
+    ) {
         let now = self.now_ms();
         let record = {
             let mut g = lock(&slot.inner);
             g.record.finish_t_ms = now;
-            match &res {
+            match res {
                 Ok(o) => {
                     g.record.state = JobState::Done;
-                    g.record.source = o.source;
+                    g.record.source = source.unwrap_or(o.source);
                     g.record.dur_ms = o.dur_ms;
                     g.record.sim_cycles = o.sim_cycles;
                     g.record.metrics = o.metrics.clone();
@@ -610,128 +707,6 @@ impl ServerState {
             }
             g.record.clone()
         };
-        if let Ok(o) = &res {
-            // Memo before dedup release: a racing submission sees either
-            // the in-flight entry or the memo, never neither.
-            lock(&self.memo).insert(
-                dedup_key.to_string(),
-                Arc::new(MemoEntry {
-                    metrics: o.metrics.clone(),
-                    sim_cycles: o.sim_cycles,
-                    attr: o.attr.clone(),
-                }),
-            );
-        }
-        lock(&self.inflight).remove(dedup_key);
-        {
-            let mut c = lock(&self.counts);
-            match &res {
-                Ok(o) => {
-                    c.completed += 1;
-                    c.sim_cycles += o.sim_cycles;
-                    if let Some(a) = &o.attr {
-                        c.add_attr(a);
-                    }
-                    match o.source {
-                        "disk" => c.disk_hits += 1,
-                        "mem" => c.mem_hits += 1,
-                        _ => c.cold += 1,
-                    }
-                }
-                Err(_) => c.failed += 1,
-            }
-        }
-        if let Ok(o) = &res {
-            self.metrics.observe_job(o.source, o.dur_ms);
-        }
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
-        self.log_record(&record);
-        slot.cv.notify_all();
-    }
-
-    /// Terminal accounting for a job the predictor started.  Takes the
-    /// dedup index lock *first* (claims always hold it), so "did demand
-    /// claim this before it finished?" has exactly one answer — a claimed
-    /// speculation completes like any demand job, an unclaimed one parks
-    /// its result in the memo and the ready index without touching the
-    /// demand counters.
-    fn complete_speculative(
-        &self,
-        slot: &Arc<JobSlot>,
-        dedup_key: &str,
-        res: Result<Outcome, String>,
-    ) {
-        let now = self.now_ms();
-        let mut inflight = lock(&self.inflight);
-        let (record, claimed) = {
-            let mut g = lock(&slot.inner);
-            let claimed = g.record.submissions > 0;
-            g.record.finish_t_ms = now;
-            match &res {
-                Ok(o) => {
-                    g.record.state = JobState::Done;
-                    g.record.source = if claimed { o.source } else { "spec" };
-                    g.record.dur_ms = o.dur_ms;
-                    g.record.sim_cycles = o.sim_cycles;
-                    g.record.metrics = o.metrics.clone();
-                    g.record.attr = o.attr.clone();
-                }
-                Err(e) => {
-                    g.record.state = JobState::Failed;
-                    g.record.error = e.clone();
-                }
-            }
-            (g.record.clone(), claimed)
-        };
-        if let Ok(o) = &res {
-            lock(&self.memo).insert(
-                dedup_key.to_string(),
-                Arc::new(MemoEntry {
-                    metrics: o.metrics.clone(),
-                    sim_cycles: o.sim_cycles,
-                    attr: o.attr.clone(),
-                }),
-            );
-            if !claimed {
-                self.spec_ready.publish(dedup_key, now);
-            }
-        }
-        inflight.remove(dedup_key);
-        drop(inflight);
-        {
-            let mut c = lock(&self.counts);
-            match &res {
-                Ok(o) => {
-                    c.sim_cycles += o.sim_cycles;
-                    if let Some(a) = &o.attr {
-                        c.add_attr(a);
-                    }
-                    if claimed {
-                        // A waiting demand submission is being answered:
-                        // normal demand accounting.
-                        c.completed += 1;
-                        match o.source {
-                            "disk" => c.disk_hits += 1,
-                            "mem" => c.mem_hits += 1,
-                            _ => c.cold += 1,
-                        }
-                    }
-                }
-                Err(_) => {
-                    if claimed {
-                        c.failed += 1;
-                    } else {
-                        // Nobody was waiting; a failed speculation is
-                        // reclaimed, not a served failure.
-                        c.spec_cancelled += 1;
-                    }
-                }
-            }
-        }
-        if let Ok(o) = &res {
-            let source = if claimed { o.source } else { "spec" };
-            self.metrics.observe_job(source, o.dur_ms);
-        }
         self.outstanding.fetch_sub(1, Ordering::SeqCst);
         self.log_record(&record);
         slot.cv.notify_all();
@@ -1368,6 +1343,53 @@ mod tests {
         assert_eq!(s.snapshot().failed, 0);
         assert_conserved(&s);
         schema::validate_serve_stats_json(&s.stats_json()).unwrap();
+    }
+
+    /// Complete each job on another thread while this one spins on the
+    /// record: the moment it reads terminal, the snapshot must already
+    /// count the job.  Covers demand successes and failures and claimed
+    /// speculations.
+    #[test]
+    fn a_terminal_record_is_always_already_counted() {
+        const ROUNDS: u64 = 150;
+        let s = spec_state(4, Duration::from_secs(600));
+        for i in 0..ROUNDS {
+            let body = format!(
+                "{{\"bench\": \"181.mcf\", \"cfg\": {{\"mem_latency\": {}}}}}",
+                i + 1
+            );
+            let key = spec(&body).dedup_key();
+            let slot = if i % 3 == 2 {
+                // A speculation a worker already holds, claimed by demand.
+                assert!(s.spec_submit(spec(&body)));
+                assert!(matches!(s.queue.pop(), Some(Popped::Spec(_))));
+                s.queue.spec_done();
+                s.submit_demand(spec(&body)).unwrap()
+            } else {
+                let slot = s.submit_demand(spec(&body)).unwrap();
+                assert_eq!(s.queue.pop(), Some(Popped::Demand(slot.record().id)));
+                slot
+            };
+            let before = s.snapshot();
+            let res = if i % 3 == 1 {
+                Err("induced".to_string())
+            } else {
+                ok_outcome("disk")
+            };
+            std::thread::scope(|sc| {
+                sc.spawn(|| s.complete(&slot, &key, res));
+                while !slot.record().state.terminal() {
+                    std::hint::spin_loop();
+                }
+                let now = s.snapshot();
+                let counted = (now.disk_hits - before.disk_hits) + (now.failed - before.failed);
+                assert_eq!(counted, 1, "round {i}: terminal record not yet counted");
+            });
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.failed, ROUNDS / 3);
+        assert_eq!(snap.disk_hits, ROUNDS - ROUNDS / 3);
+        assert_eq!(s.outstanding(), 0);
     }
 
     #[test]

@@ -25,11 +25,59 @@ type ServerHandle = (
 );
 
 fn start(cfg: ServeConfig) -> ServerHandle {
-    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    start_on("127.0.0.1:0", cfg)
+}
+
+fn start_on(bind: &str, cfg: ServeConfig) -> ServerHandle {
+    let server = Server::bind(bind, cfg).unwrap();
     let state = server.state();
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run());
     (state, addr, handle)
+}
+
+fn idle_cfg() -> ServeConfig {
+    ServeConfig {
+        workers: 1,
+        queue_cap: 4,
+        store: None,
+        log_dir: None,
+        ..ServeConfig::default()
+    }
+}
+
+/// Join a daemon thread, failing (instead of hanging) if it has not
+/// returned within `secs`.
+fn join_within(handle: std::thread::JoinHandle<std::io::Result<()>>, secs: u64) {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "daemon did not drain within {secs} s"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().unwrap().unwrap();
+}
+
+/// Send one request on an open connection and read its whole answer,
+/// which must be complete: no reset, and exactly `Content-Length` body
+/// bytes.  Returns (status, head, body).
+fn full_answer(mut s: TcpStream, raw: &str) -> (u16, String, String) {
+    s.write_all(raw.as_bytes()).unwrap();
+    let mut out = String::new();
+    s.read_to_string(&mut out)
+        .unwrap_or_else(|e| panic!("answer cut off after {out:?}: {e}"));
+    let (head, body) = out.split_once("\r\n\r\n").expect("no header terminator");
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length")
+        .parse()
+        .unwrap();
+    assert_eq!(body.len(), len, "truncated body in {out:?}");
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    (status, head.to_string(), body.to_string())
 }
 
 /// Write raw bytes, half-close, read the whole response.  Writes and the
@@ -302,4 +350,70 @@ fn shutdown_drains_inflight_work_and_writes_validated_logs() {
     let v = json::parse(&stats).unwrap();
     assert_eq!(v.get("draining").unwrap().as_bool(), Some(true));
     assert_eq!(u64_at(&v, &["jobs", "completed"]), 1);
+}
+
+#[test]
+fn idle_round_trips_never_wait_for_an_accept_poll() {
+    let (_state, addr, handle) = start(idle_cfg());
+    let t = Instant::now();
+    for _ in 0..50 {
+        let (s, _) = request(addr, "GET", "/healthz", None);
+        assert_eq!(s, 200);
+    }
+    let took = t.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "50 idle /healthz round trips took {took:?}"
+    );
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(handle, 10);
+}
+
+#[test]
+fn wildcard_bound_daemon_drains_on_shutdown() {
+    let logs = scratch("wildcard-logs");
+    let (_state, bound, handle) = start_on(
+        "0.0.0.0:0",
+        ServeConfig {
+            log_dir: Some(logs.clone()),
+            ..idle_cfg()
+        },
+    );
+    assert!(bound.ip().is_unspecified(), "{bound}");
+    // The drain's self-wake must reach a wildcard listener over loopback.
+    let addr = SocketAddr::from(([127, 0, 0, 1], bound.port()));
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(handle, 10);
+    let stats = std::fs::read_to_string(logs.join("stats.json")).unwrap();
+    schema::validate_serve_stats_json(&stats).unwrap();
+}
+
+#[test]
+fn connections_open_when_drain_completes_each_get_a_full_answer() {
+    let (_state, addr, handle) = start(idle_cfg());
+    // Connected, request not yet sent: these are still waiting on the
+    // daemon when its (idle) drain completes.
+    let waiting: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        !handle.is_finished(),
+        "the daemon returned with accepted connections unanswered"
+    );
+    let submit = "POST /jobs HTTP/1.1\r\nContent-Length: 21\r\n\r\n{\"bench\": \"164.gzip\"}";
+    let probe = "GET /healthz HTTP/1.1\r\n\r\n";
+    for (i, conn) in waiting.into_iter().enumerate() {
+        if i % 2 == 0 {
+            let (s, head, _) = full_answer(conn, submit);
+            assert_eq!(s, 503, "{head}");
+            assert!(head.contains("X-Wec-Draining: true"), "{head}");
+        } else {
+            let (s, _, body) = full_answer(conn, probe);
+            assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":true}"));
+        }
+    }
+    join_within(handle, 10);
 }
