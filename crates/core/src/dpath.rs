@@ -227,13 +227,13 @@ impl DataPath {
         }
 
         // L1 hit?
-        if let Some(line) = self.l1.touch(addr) {
-            let was_wrong = line.flags.wrong_fetched;
-            let was_prefetched = line.flags.prefetched;
-            line.flags.wrong_fetched = false;
-            line.flags.prefetched = false;
+        if let Some(flags) = self.l1.touch(addr) {
+            let was_wrong = flags.wrong_fetched;
+            let was_prefetched = flags.prefetched;
+            flags.wrong_fetched = false;
+            flags.prefetched = false;
             if is_store {
-                line.flags.dirty = true;
+                flags.dirty = true;
             }
             self.stats.record(kind, true);
             if let Some(a) = self.attr.as_deref_mut() {
@@ -261,8 +261,7 @@ impl DataPath {
         }
 
         // L1 miss: probe the side structure.
-        if self.side.is_some() && self.side.as_ref().unwrap().contains(addr) {
-            let side_line = self.side.as_mut().unwrap().take(addr).unwrap();
+        if let Some(side_line) = self.side.as_mut().and_then(|s| s.take(addr)) {
             self.stats.side_hits.inc();
             let was_wrong = side_line.flags.wrong_fetched;
             let was_prefetched = side_line.flags.prefetched;
@@ -550,7 +549,7 @@ impl DataPath {
 
     /// Wrong-fetched flag of a resident side block (tests).
     pub fn side_flags(&self, addr: Addr) -> Option<LineFlags> {
-        self.side.as_ref()?.peek(addr).map(|l| l.flags)
+        self.side.as_ref()?.peek(addr)
     }
 
     /// Valid lines currently held by the side structure (WEC occupancy for
@@ -614,7 +613,7 @@ mod tests {
         let t = done(d.access(a, AccessKind::CorrectLoad, Cycle(400), &mut l2));
         assert_eq!(t, Cycle(401), "WEC hit must cost the L1 hit latency");
         assert!(d.l1_contains(a));
-        assert!(!d.l1.peek(a).unwrap().flags.wrong_fetched);
+        assert!(!d.l1.peek(a).unwrap().wrong_fetched);
         let next = a.next_block(64);
         assert!(d.side_contains(next), "next-line prefetch missing");
         assert_eq!(d.stats.useful_wrong_fetches.get(), 1);
@@ -756,7 +755,7 @@ mod tests {
         let a = Addr(0x0_0000);
         let b = Addr(0x0_2000); // conflicts with a
         done(d.access(a, AccessKind::CorrectStore, Cycle(0), &mut l2));
-        assert!(d.l1.peek(a).unwrap().flags.dirty);
+        assert!(d.l1.peek(a).unwrap().dirty);
         done(d.access(b, AccessKind::CorrectLoad, Cycle(400), &mut l2));
         assert_eq!(d.stats.writebacks.get(), 1);
     }
@@ -780,5 +779,35 @@ mod tests {
         for i in 0..9u64 {
             assert!(!d.l1_contains(Addr(0x10_0000 + i * 64)));
         }
+    }
+
+    #[test]
+    fn full_wec_swap_evicts_no_other_entry() {
+        // Eight wrong-path blocks fill the WEC.  A correct load then hits
+        // the fourth (neither its oldest nor its newest entry): the L1
+        // victim must take exactly the slot that `take` vacated.
+        let mut d = dp(SideKind::Wec);
+        let mut l2 = l2();
+        let blocks: Vec<Addr> = (0..8u64).map(|i| Addr(0x2_0000 + i * 64)).collect();
+        let hit = blocks[3];
+        let l1_victim = Addr(hit.0 + 0x2000); // same direct-mapped L1 set
+        done(d.access(l1_victim, AccessKind::CorrectLoad, Cycle(0), &mut l2));
+        for (i, &b) in blocks.iter().enumerate() {
+            let now = Cycle(400 * (i as u64 + 1));
+            done(d.access(b, AccessKind::WrongPathLoad, now, &mut l2));
+        }
+        assert_eq!(d.side_occupancy(), 8);
+
+        let t = done(d.access(hit, AccessKind::CorrectLoad, Cycle(8000), &mut l2));
+        assert_eq!(t, Cycle(8001));
+        assert_eq!(d.stats.side_hits.get(), 1);
+        assert!(d.l1_contains(hit) && !d.side_contains(hit));
+        assert!(d.side_contains(l1_victim), "L1 victim not swapped in");
+        for &b in blocks.iter().filter(|&&b| b != hit) {
+            assert!(d.side_contains(b), "{b:?} evicted by the swap");
+        }
+        // The chained next-line prefetch targets a resident entry, so it
+        // does not fill (or evict) anything either.
+        assert_eq!(d.side_occupancy(), 8);
     }
 }

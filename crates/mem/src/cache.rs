@@ -63,22 +63,6 @@ impl CacheGeometry {
     pub fn total_bytes(&self) -> u64 {
         self.sets * self.ways as u64 * self.block_bytes
     }
-
-    #[inline]
-    fn set_of(&self, addr: Addr) -> usize {
-        addr.set_index(self.block_bytes, self.sets)
-    }
-
-    #[inline]
-    fn tag_of(&self, addr: Addr) -> u64 {
-        addr.tag(self.block_bytes, self.sets)
-    }
-
-    /// Rebuild the base address of a block from its set and tag.
-    #[inline]
-    fn block_addr(&self, set: usize, tag: u64) -> Addr {
-        Addr((tag * self.sets + set as u64) * self.block_bytes)
-    }
 }
 
 /// A block pushed out of the cache by an insert.
@@ -88,6 +72,10 @@ pub struct Evicted {
     pub addr: Addr,
     pub flags: LineFlags,
 }
+
+/// Tag of an invalid way.  No real tag reaches it: a tag is the address
+/// shifted right past the block-offset bits.
+const INVALID: u64 = u64::MAX;
 
 /// The tag array.  All operations are O(associativity).
 ///
@@ -107,24 +95,52 @@ pub struct Evicted {
 /// ```
 pub struct Cache {
     geom: CacheGeometry,
-    /// Validity, line metadata and last-touch stamp per way, flattened to
-    /// `set * ways + way`.  One allocation per array instead of a `Vec` and
-    /// an `LruOrder` per set; the probe walks a contiguous slice.
-    valid: Vec<bool>,
-    lines: Vec<Line>,
+    /// `log2(block_bytes)`: address → block number.
+    block_shift: u32,
+    /// `log2(block_bytes * sets)`: address → tag.
+    set_shift: u32,
+    /// `sets - 1`: block number → set index.
+    set_mask: u64,
+    /// Tag (`INVALID` when empty), flags and last-touch stamp per way,
+    /// flattened to `set * ways + way`.  A probe is one pass over a
+    /// contiguous slice of `tags`.
+    tags: Vec<u64>,
+    flags: Vec<LineFlags>,
+    /// 0 for an invalid way, else the clock at its last touch, so the
+    /// first minimum of a set is its first invalid way, or else its exact
+    /// LRU way.
     stamps: Vec<u64>,
     /// Global recency clock shared by all sets (only relative order within
-    /// a set matters; stamps are unique, so the order is total).
+    /// a set matters; stamps are unique, so the order is total).  Starts at
+    /// 1 so that no valid way carries stamp 0.
     clock: u64,
 }
 
 impl Cache {
+    /// Panics unless `sets` and `block_bytes` are powers of two and
+    /// `ways ≥ 1`.  [`CacheGeometry::from_capacity`] guarantees all three;
+    /// a struct literal may not.
     pub fn new(geom: CacheGeometry) -> Self {
+        assert!(
+            geom.sets.is_power_of_two(),
+            "set count {} not a power of two",
+            geom.sets
+        );
+        assert!(
+            geom.block_bytes.is_power_of_two(),
+            "block size {} not a power of two",
+            geom.block_bytes
+        );
+        assert!(geom.ways >= 1, "a cache needs at least one way");
+        let block_shift = geom.block_bytes.trailing_zeros();
         let slots = geom.sets as usize * geom.ways;
         Cache {
             geom,
-            valid: vec![false; slots],
-            lines: vec![Line::new(0, LineFlags::DEMAND); slots],
+            block_shift,
+            set_shift: block_shift + geom.sets.trailing_zeros(),
+            set_mask: geom.sets - 1,
+            tags: vec![INVALID; slots],
+            flags: vec![LineFlags::DEMAND; slots],
             stamps: vec![0; slots],
             clock: 1,
         }
@@ -134,8 +150,19 @@ impl Cache {
         self.geom
     }
 
+    #[inline]
     fn locate(&self, addr: Addr) -> (usize, u64) {
-        (self.geom.set_of(addr), self.geom.tag_of(addr))
+        let set = ((addr.0 >> self.block_shift) & self.set_mask) as usize;
+        let tag = addr.0 >> self.set_shift;
+        debug_assert_ne!(tag, INVALID, "{addr:?} aliases the invalid tag");
+        (set, tag)
+    }
+
+    /// Rebuild the base address of a block from its set and tag.
+    #[inline]
+    fn block_addr(&self, set: usize, tag: u64) -> Addr {
+        let set_bits = self.set_shift - self.block_shift;
+        Addr(((tag << set_bits) | set as u64) << self.block_shift)
     }
 
     /// Flat index of the first way of `set`.
@@ -144,14 +171,21 @@ impl Cache {
         set * self.geom.ways
     }
 
-    /// Flat index of `addr`'s line if resident.
+    /// Flat index of the line with `tag` in `set`, if resident.
+    #[inline]
     fn slot_of(&self, set: usize, tag: u64) -> Option<usize> {
         let base = self.base(set);
-        let lines = &self.lines[base..base + self.geom.ways];
-        let valid = &self.valid[base..base + self.geom.ways];
-        (0..self.geom.ways)
-            .find(|&w| valid[w] && lines[w].tag == tag)
+        self.tags[base..base + self.geom.ways]
+            .iter()
+            .position(|&t| t == tag)
             .map(|w| base + w)
+    }
+
+    /// Flat index of `addr`'s line, if resident.
+    #[inline]
+    fn find(&self, addr: Addr) -> Option<usize> {
+        let (set, tag) = self.locate(addr);
+        self.slot_of(set, tag)
     }
 
     #[inline]
@@ -162,25 +196,21 @@ impl Cache {
 
     /// Does the cache hold the block containing `addr`? (No LRU update.)
     pub fn contains(&self, addr: Addr) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.slot_of(set, tag).is_some()
+        self.find(addr).is_some()
     }
 
-    /// Look at a resident line without touching LRU state.
-    pub fn peek(&self, addr: Addr) -> Option<&Line> {
-        let (set, tag) = self.locate(addr);
-        let slot = self.slot_of(set, tag)?;
-        Some(&self.lines[slot])
+    /// Flags of a resident line, without touching LRU state.
+    pub fn peek(&self, addr: Addr) -> Option<LineFlags> {
+        self.find(addr).map(|slot| self.flags[slot])
     }
 
     /// Hit path: if resident, update LRU and return a mutable reference to
-    /// the line (callers adjust flags: dirty on store, clear `prefetched` on
-    /// first demand hit, …).
-    pub fn touch(&mut self, addr: Addr) -> Option<&mut Line> {
-        let (set, tag) = self.locate(addr);
-        let slot = self.slot_of(set, tag)?;
+    /// the line's flags (callers adjust them: dirty on store, clear
+    /// `prefetched` on first demand hit, …).
+    pub fn touch(&mut self, addr: Addr) -> Option<&mut LineFlags> {
+        let slot = self.find(addr)?;
         self.stamp(slot);
-        Some(&mut self.lines[slot])
+        Some(&mut self.flags[slot])
     }
 
     /// Insert the block containing `addr` as most-recently-used, replacing an
@@ -189,38 +219,32 @@ impl Cache {
     /// overwritten and LRU updated (no eviction).
     pub fn insert(&mut self, addr: Addr, flags: LineFlags) -> Option<Evicted> {
         let (set, tag) = self.locate(addr);
-        if let Some(slot) = self.slot_of(set, tag) {
-            self.stamp(slot);
-            self.lines[slot] = Line::new(tag, flags);
-            return None;
-        }
         let base = self.base(set);
         let ways = self.geom.ways;
-        // First invalid way in way order, else the valid way with the
-        // oldest stamp (every valid way was stamped at insert, so the
-        // minimum stamp is the exact LRU).
-        let slot = match self.valid[base..base + ways].iter().position(|&v| !v) {
-            Some(w) => base + w,
-            None => {
-                let mut victim = base;
-                for s in base + 1..base + ways {
-                    if self.stamps[s] < self.stamps[victim] {
-                        victim = s;
-                    }
-                }
-                victim
+        let tags = &self.tags[base..base + ways];
+        let stamps = &self.stamps[base..base + ways];
+        // One pass: a resident block ends it; otherwise it leaves the first
+        // minimum stamp.  Invalid ways carry 0 and valid ways ≥ 1, so that
+        // is the first invalid way in way order, else the exact LRU.
+        let (mut way, mut oldest) = (0, u64::MAX);
+        for w in 0..ways {
+            if tags[w] == tag {
+                self.stamp(base + w);
+                self.flags[base + w] = flags;
+                return None;
             }
-        };
-        let evicted = if self.valid[slot] {
-            Some(Evicted {
-                addr: self.geom.block_addr(set, self.lines[slot].tag),
-                flags: self.lines[slot].flags,
-            })
-        } else {
-            None
-        };
-        self.valid[slot] = true;
-        self.lines[slot] = Line::new(tag, flags);
+            if stamps[w] < oldest {
+                (way, oldest) = (w, stamps[w]);
+            }
+        }
+        let slot = base + way;
+        let old = self.tags[slot];
+        let evicted = (old != INVALID).then(|| Evicted {
+            addr: self.block_addr(set, old),
+            flags: self.flags[slot],
+        });
+        self.tags[slot] = tag;
+        self.flags[slot] = flags;
         self.stamp(slot);
         evicted
     }
@@ -228,10 +252,11 @@ impl Cache {
     /// Remove and return the block containing `addr` (used by swap paths:
     /// WEC↔L1, victim-cache↔L1).
     pub fn take(&mut self, addr: Addr) -> Option<Line> {
-        let (set, tag) = self.locate(addr);
-        let slot = self.slot_of(set, tag)?;
-        self.valid[slot] = false;
-        Some(self.lines[slot])
+        let slot = self.find(addr)?;
+        let line = Line::new(self.tags[slot], self.flags[slot]);
+        self.tags[slot] = INVALID;
+        self.stamps[slot] = 0;
+        Some(line)
     }
 
     /// Invalidate the block containing `addr` if resident.
@@ -243,8 +268,8 @@ impl Cache {
     /// Returns true on hit.
     pub fn set_dirty(&mut self, addr: Addr) -> bool {
         match self.touch(addr) {
-            Some(line) => {
-                line.flags.dirty = true;
+            Some(flags) => {
+                flags.dirty = true;
                 true
             }
             None => false,
@@ -253,20 +278,19 @@ impl Cache {
 
     /// Number of valid lines (tests, occupancy assertions).
     pub fn valid_lines(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// Iterate over all resident block addresses with their flags.
     pub fn resident_blocks(&self) -> impl Iterator<Item = (Addr, LineFlags)> + '_ {
-        self.valid
+        self.tags
             .iter()
             .enumerate()
-            .filter(|&(_, &v)| v)
-            .map(move |(slot, _)| {
-                let line = self.lines[slot];
+            .filter(|&(_, &t)| t != INVALID)
+            .map(move |(slot, &tag)| {
                 (
-                    self.geom.block_addr(slot / self.geom.ways, line.tag),
-                    line.flags,
+                    self.block_addr(slot / self.geom.ways, tag),
+                    self.flags[slot],
                 )
             })
     }
@@ -274,12 +298,8 @@ impl Cache {
     /// Structural invariant: no duplicate tags within a set. Used by tests
     /// and debug assertions.
     pub fn check_no_duplicate_tags(&self) -> bool {
-        (0..self.geom.sets as usize).all(|set| {
-            let base = self.base(set);
-            let mut tags: Vec<u64> = (0..self.geom.ways)
-                .filter(|&w| self.valid[base + w])
-                .map(|w| self.lines[base + w].tag)
-                .collect();
+        self.tags.chunks(self.geom.ways).all(|set| {
+            let mut tags: Vec<u64> = set.iter().copied().filter(|&t| t != INVALID).collect();
             let before = tags.len();
             tags.sort_unstable();
             tags.dedup();
@@ -312,6 +332,62 @@ mod tests {
         assert!(CacheGeometry::from_capacity(8 * 1024, 3, 64).is_err());
         assert!(CacheGeometry::from_capacity(0, 1, 64).is_err());
         assert!(CacheGeometry::from_capacity(8 * 1024, 1, 63).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "set count 96 not a power of two")]
+    fn new_rejects_a_geometry_that_bypasses_from_capacity() {
+        Cache::new(CacheGeometry {
+            sets: 96,
+            ways: 1,
+            block_bytes: 64,
+        });
+    }
+
+    #[test]
+    fn new_rejects_bad_block_size_and_zero_ways() {
+        for geom in [
+            CacheGeometry {
+                sets: 128,
+                ways: 1,
+                block_bytes: 48,
+            },
+            CacheGeometry {
+                sets: 128,
+                ways: 0,
+                block_bytes: 64,
+            },
+        ] {
+            assert!(
+                std::panic::catch_unwind(|| Cache::new(geom)).is_err(),
+                "{geom:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shift_and_mask_match_division() {
+        for geom in [
+            CacheGeometry::from_capacity(8 * 1024, 1, 64).unwrap(),
+            CacheGeometry::from_capacity(512 * 1024, 4, 128).unwrap(),
+            CacheGeometry::fully_associative(24, 64),
+        ] {
+            let c = Cache::new(geom);
+            for a in [
+                0u64,
+                0x3f,
+                0x40,
+                0x1234_5678,
+                0xdead_beef_cafe,
+                u64::MAX >> 1,
+            ] {
+                let a = Addr(a);
+                let (set, tag) = c.locate(a);
+                assert_eq!(set, a.set_index(geom.block_bytes, geom.sets));
+                assert_eq!(tag, a.tag(geom.block_bytes, geom.sets));
+                assert_eq!(c.block_addr(set, tag), a.block_base(geom.block_bytes));
+            }
+        }
     }
 
     #[test]
@@ -367,9 +443,9 @@ mod tests {
         let mut c = fa(2);
         let a = Addr(0x100);
         c.insert(a, LineFlags::WRONG);
-        assert!(c.peek(a).unwrap().flags.wrong_fetched);
+        assert!(c.peek(a).unwrap().wrong_fetched);
         assert!(c.insert(a, LineFlags::DEMAND).is_none());
-        assert!(!c.peek(a).unwrap().flags.wrong_fetched);
+        assert!(!c.peek(a).unwrap().wrong_fetched);
         assert_eq!(c.valid_lines(), 1);
     }
 
@@ -385,13 +461,29 @@ mod tests {
     }
 
     #[test]
+    fn insert_after_take_refills_the_vacated_way() {
+        // A full set with a hole that is not its LRU way: the next insert
+        // fills the hole and evicts nothing.
+        let mut c = fa(4);
+        for i in 0..4u64 {
+            c.insert(Addr(i * 64), LineFlags::DEMAND);
+        }
+        c.take(Addr(2 * 64)).unwrap();
+        assert!(c.insert(Addr(9 * 64), LineFlags::DEMAND).is_none());
+        assert_eq!(c.valid_lines(), 4);
+        // Block 0 is still the LRU way and goes next.
+        let ev = c.insert(Addr(10 * 64), LineFlags::DEMAND).unwrap();
+        assert_eq!(ev.addr, Addr(0));
+    }
+
+    #[test]
     fn set_dirty_on_hit_only() {
         let mut c = dm_l1();
         let a = Addr(0x80);
         assert!(!c.set_dirty(a));
         c.insert(a, LineFlags::DEMAND);
         assert!(c.set_dirty(a));
-        assert!(c.peek(a).unwrap().flags.dirty);
+        assert!(c.peek(a).unwrap().dirty);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! memory.  This crate provides the generic machinery:
 //!
 //! * [`cache`] — set-associative / fully-associative tag arrays with true
-//!   LRU replacement and write-back state ([`lru`], [`line`](mod@line));
+//!   LRU replacement and write-back state ([`line`](mod@line));
 //! * [`ports`] — per-cycle port arbitration (L1 data ports are the paper's
 //!   load/store-unit contention point);
 //! * [`mshr`] — outstanding-miss tracking so two loads to one in-flight
@@ -28,7 +28,6 @@ pub mod coherence;
 pub mod dram;
 pub mod l2;
 pub mod line;
-pub mod lru;
 pub mod mshr;
 pub mod ports;
 pub mod prefetch;

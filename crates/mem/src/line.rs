@@ -41,8 +41,8 @@ impl LineFlags {
     };
 }
 
-/// One cache line: a tag plus metadata. Invalid lines are represented by
-/// `None` slots in the set, so a `Line` is always valid.
+/// One cache line: a tag plus metadata, as handed out by
+/// [`Cache::take`](crate::cache::Cache::take).  A `Line` is always valid.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Line {
     pub tag: u64,

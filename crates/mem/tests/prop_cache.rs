@@ -6,12 +6,12 @@ use wec_common::ids::Addr;
 use wec_mem::cache::{Cache, CacheGeometry};
 use wec_mem::line::LineFlags;
 
-/// Reference model: per set, a most-recent-first vector of (tag, dirty).
+/// Reference model: per set, a most-recent-first vector of (tag, flags).
 struct RefCache {
     sets: u64,
     ways: usize,
     block: u64,
-    data: Vec<Vec<(u64, bool)>>,
+    data: Vec<Vec<(u64, LineFlags)>>,
 }
 
 impl RefCache {
@@ -31,68 +31,137 @@ impl RefCache {
         )
     }
 
+    fn position(&self, a: Addr) -> (usize, u64, Option<usize>) {
+        let (s, t) = self.locate(a);
+        (s, t, self.data[s].iter().position(|&(tag, _)| tag == t))
+    }
+
     fn contains(&self, a: Addr) -> bool {
-        let (s, t) = self.locate(a);
-        self.data[s].iter().any(|&(tag, _)| tag == t)
+        self.position(a).2.is_some()
     }
 
-    fn touch(&mut self, a: Addr) -> bool {
-        let (s, t) = self.locate(a);
-        if let Some(pos) = self.data[s].iter().position(|&(tag, _)| tag == t) {
-            let e = self.data[s].remove(pos);
-            self.data[s].insert(0, e);
-            true
-        } else {
-            false
-        }
+    /// Moves a resident block to the front; returns its flags.
+    fn touch(&mut self, a: Addr) -> Option<LineFlags> {
+        let (s, _, pos) = self.position(a);
+        let e = self.data[s].remove(pos?);
+        self.data[s].insert(0, e);
+        Some(e.1)
     }
 
-    /// Returns the evicted block address, if any.
-    fn insert(&mut self, a: Addr, dirty: bool) -> Option<(Addr, bool)> {
-        let (s, t) = self.locate(a);
-        if let Some(pos) = self.data[s].iter().position(|&(tag, _)| tag == t) {
+    /// Returns the evicted block address and flags, if any.
+    fn insert(&mut self, a: Addr, flags: LineFlags) -> Option<(Addr, LineFlags)> {
+        let (s, t, pos) = self.position(a);
+        if let Some(pos) = pos {
             self.data[s].remove(pos);
-            self.data[s].insert(0, (t, dirty));
+            self.data[s].insert(0, (t, flags));
             return None;
         }
         let evicted = if self.data[s].len() == self.ways {
-            let (tag, d) = self.data[s].pop().unwrap();
-            Some((Addr((tag * self.sets + s as u64) * self.block), d))
+            let (tag, f) = self.data[s].pop().unwrap();
+            Some((Addr((tag * self.sets + s as u64) * self.block), f))
         } else {
             None
         };
-        self.data[s].insert(0, (t, dirty));
+        self.data[s].insert(0, (t, flags));
         evicted
     }
 
-    fn take(&mut self, a: Addr) -> bool {
-        let (s, t) = self.locate(a);
-        if let Some(pos) = self.data[s].iter().position(|&(tag, _)| tag == t) {
-            self.data[s].remove(pos);
-            true
-        } else {
-            false
-        }
+    fn take(&mut self, a: Addr) -> Option<LineFlags> {
+        let (s, _, pos) = self.position(a);
+        Some(self.data[s].remove(pos?).1)
     }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert(u64, bool),
+    Insert(u64, u8),
     Touch(u64),
     Take(u64),
     Contains(u64),
 }
 
+impl Op {
+    fn addr(&self) -> u64 {
+        match *self {
+            Op::Insert(a, _) | Op::Touch(a) | Op::Take(a) | Op::Contains(a) => a,
+        }
+    }
+}
+
+/// Addresses in a window that exercises conflicts: a few hundred blocks.
+const OP_WINDOW: u64 = 1 << 14;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // Addresses in a window that exercises conflicts: a few hundred blocks.
-    let addr = 0u64..(1 << 14);
+    let addr = 0u64..OP_WINDOW;
     prop_oneof![
-        (addr.clone(), any::<bool>()).prop_map(|(a, d)| Op::Insert(a, d)),
+        (addr.clone(), any::<u8>()).prop_map(|(a, f)| Op::Insert(a, f)),
         addr.clone().prop_map(Op::Touch),
         addr.clone().prop_map(Op::Take),
         addr.prop_map(Op::Contains),
     ]
+}
+
+/// Three inserts per take, so a structure whose window is twice its size
+/// runs full and keeps evicting between the holes that takes punch.
+fn fill_heavy_op_strategy() -> impl Strategy<Value = Op> {
+    let addr = 0u64..OP_WINDOW;
+    let insert = (addr.clone(), any::<u8>()).prop_map(|(a, f)| Op::Insert(a, f));
+    prop_oneof![
+        insert.clone(),
+        insert.clone(),
+        insert,
+        addr.clone().prop_map(Op::Touch),
+        addr.clone().prop_map(Op::Take),
+        addr.prop_map(Op::Contains),
+    ]
+}
+
+/// Flags from the low three bits, so evictions carry distinguishable flags.
+fn flags_of(bits: u8) -> LineFlags {
+    LineFlags {
+        dirty: bits & 1 != 0,
+        wrong_fetched: bits & 2 != 0,
+        prefetched: bits & 4 != 0,
+    }
+}
+
+/// Drive `ops` through a cache of shape `geom` and the reference model,
+/// after folding every address into `window_blocks` blocks.
+fn check_against_reference(
+    geom: CacheGeometry,
+    ops: &[Op],
+    window_blocks: u64,
+) -> Result<(), String> {
+    let mut cache = Cache::new(geom);
+    let mut reference = RefCache::new(geom);
+    for op in ops {
+        let raw = op.addr();
+        let a = Addr(
+            (raw / geom.block_bytes % window_blocks) * geom.block_bytes + raw % geom.block_bytes,
+        );
+        match *op {
+            Op::Insert(_, bits) => {
+                let flags = flags_of(bits);
+                let got = cache.insert(a, flags);
+                let want = reference.insert(a, flags);
+                prop_assert_eq!(got.map(|e| (e.addr, e.flags)), want);
+            }
+            Op::Touch(_) => {
+                let got = cache.touch(a).map(|f| *f);
+                prop_assert_eq!(got, reference.touch(a));
+            }
+            Op::Take(_) => {
+                let got = cache.take(a).map(|l| l.flags);
+                prop_assert_eq!(got, reference.take(a));
+            }
+            Op::Contains(_) => {
+                prop_assert_eq!(cache.contains(a), reference.contains(a));
+            }
+        }
+        prop_assert!(cache.check_no_duplicate_tags());
+        prop_assert!(cache.valid_lines() <= geom.sets as usize * geom.ways);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -104,35 +173,20 @@ proptest! {
         ways in proptest::sample::select(vec![1usize, 2, 4]),
     ) {
         let geom = CacheGeometry::from_capacity(4 * 1024, ways, 64).unwrap();
-        let mut cache = Cache::new(geom);
-        let mut reference = RefCache::new(geom);
-        for op in ops {
-            match op {
-                Op::Insert(a, dirty) => {
-                    let a = Addr(a);
-                    let flags = LineFlags { dirty, ..LineFlags::DEMAND };
-                    let got = cache.insert(a, flags);
-                    let want = reference.insert(a, dirty);
-                    prop_assert_eq!(got.map(|e| (e.addr, e.flags.dirty)), want);
-                }
-                Op::Touch(a) => {
-                    let a = Addr(a);
-                    let got = cache.touch(a).is_some();
-                    let want = reference.touch(a);
-                    prop_assert_eq!(got, want);
-                }
-                Op::Take(a) => {
-                    let a = Addr(a);
-                    prop_assert_eq!(cache.take(a).is_some(), reference.take(a));
-                }
-                Op::Contains(a) => {
-                    let a = Addr(a);
-                    prop_assert_eq!(cache.contains(a), reference.contains(a));
-                }
-            }
-            prop_assert!(cache.check_no_duplicate_tags());
-            prop_assert!(cache.valid_lines() <= geom.sets as usize * geom.ways);
-        }
+        check_against_reference(geom, &ops, OP_WINDOW / 64)?;
+    }
+
+    /// The side-structure sizes of the geometry sweep.  The address window
+    /// is twice the entry count, so the set fills, evicts, and refills the
+    /// holes that `take` leaves: the victim must be the first vacated way,
+    /// else the exact LRU entry, with its flags intact.
+    #[test]
+    fn fully_associative_matches_reference_model(
+        ops in proptest::collection::vec(fill_heavy_op_strategy(), 1..1200),
+        entries in proptest::sample::select(vec![2usize, 4, 8, 16, 24, 32, 64, 128]),
+    ) {
+        let geom = CacheGeometry::fully_associative(entries, 64);
+        check_against_reference(geom, &ops, 2 * entries as u64)?;
     }
 
     #[test]
