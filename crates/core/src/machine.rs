@@ -463,13 +463,18 @@ impl Machine {
         Ok(result)
     }
 
-    /// One machine cycle: tick every thread unit, run the scheduler, drain
-    /// telemetry.  Generic over the [`PhaseSink`] so the profiled and
-    /// unprofiled paths share this one body (see [`Core::tick_with`]).
+    /// One machine cycle: tick every busy thread unit, run the scheduler,
+    /// drain telemetry.  A unit whose core is stopped and whose wrong-path
+    /// queue is empty is skipped: its tick would change nothing.  Generic
+    /// over the [`PhaseSink`] so the profiled and unprofiled paths share
+    /// this one body (see [`Core::tick_with`]).
     fn cycle<S: PhaseSink>(&mut self, occupants: &[Option<u64>], now: Cycle, sink: &mut S) {
         let n = self.tus.len();
         for i in 0..n {
             let slot = &mut self.tus[i];
+            if !slot.core.is_running() && slot.core.wp_engine.is_empty() {
+                continue;
+            }
             let TuSlot {
                 core,
                 dpath,

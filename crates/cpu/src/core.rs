@@ -5,6 +5,14 @@
 //! reverse order (commit → complete → issue → dispatch → fetch) so values
 //! flow between stages with the intended one-cycle boundaries.
 //!
+//! Per-cycle work scales with events, not with the window size.  Issue
+//! fills a completion queue ordered by `(done_at, seq)`, and complete pops
+//! only what is due this cycle, oldest first.  Issue walks the ROB's ready
+//! set (the `Waiting` entries whose operands are all ready, in age order),
+//! and a completing producer wakes only the operands registered on it at
+//! rename (see [`crate::rob`]).  A running unit whose window is full but
+//! idle therefore costs almost nothing per cycle.
+//!
 //! Wrong-path behaviour (the paper's §3.1.1) is concentrated in the
 //! recovery path of [`Core::tick`]: on a branch misprediction the squashed younger
 //! instructions are sifted, and — when `CoreConfig::wrong_path_loads` is set
@@ -12,7 +20,8 @@
 //! handed to the [`WrongPathEngine`], which keeps issuing them to the memory
 //! system tagged as wrong execution.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use wec_common::ids::{Addr, Cycle};
@@ -155,9 +164,10 @@ pub struct Core {
     /// the core so a mispredict-heavy run does not allocate a map per
     /// recovery.
     recover_produced: Vec<Option<u64>>,
-    /// Completion scratch: seqs whose latency elapsed this cycle, refilled
-    /// by `complete()` each tick instead of allocating.
-    complete_scratch: Vec<u64>,
+    /// Pending completions, `(done_at, seq)`, earliest first: one per
+    /// `Executing` entry, pushed at issue.  Entries squashed after issuing
+    /// leave stale items that fail the ROB lookup when they come due.
+    completions: BinaryHeap<Reverse<(Cycle, u64)>>,
     pub stats: CoreStats,
     /// Recent commits (enabled via `CoreConfig::commit_trace`).
     pub commit_trace: CommitTrace,
@@ -195,7 +205,7 @@ impl Core {
             fu_used: [0; FU_CLASSES],
             wp_engine,
             recover_produced: Vec::new(),
-            complete_scratch: Vec::new(),
+            completions: BinaryHeap::new(),
             stats: CoreStats::default(),
             commit_trace,
             flush_trace: FlushTrace::default(),
@@ -261,8 +271,41 @@ impl Core {
         )
     }
 
+    /// Check the scheduler's invariants: the ROB's ready set and consumer
+    /// chains (see `Rob::check_scheduler`), and exactly one queued
+    /// completion per `Executing` entry, due at its `done_at`.  A test aid
+    /// (the scheduler property test calls it after every tick); release
+    /// builds do not contain it.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_scheduler(&self) -> Result<(), String> {
+        self.rob.check_scheduler()?;
+        for &Reverse((at, seq)) in &self.completions {
+            match self.rob.get(seq) {
+                Some(e) if e.stage != Stage::Executing || e.done_at != at => {
+                    return Err(format!(
+                        "completion ({at:?}, #{seq}) queued for {:?} entry done at {:?}",
+                        e.stage, e.done_at
+                    ));
+                }
+                _ => {}
+            }
+        }
+        for e in self.rob.iter().filter(|e| e.stage == Stage::Executing) {
+            let n = self
+                .completions
+                .iter()
+                .filter(|&&Reverse((_, seq))| seq == e.seq)
+                .count();
+            if n != 1 {
+                return Err(format!("executing #{} has {n} queued completions", e.seq));
+            }
+        }
+        Ok(())
+    }
+
     fn flush(&mut self) {
         self.rob.clear();
+        self.completions.clear();
         self.rat.clear();
         self.fetch_queue.clear();
         self.fetch_block = None;
@@ -386,35 +429,31 @@ impl Core {
     // -------- complete / resolve --------
 
     fn complete(&mut self, now: Cycle) {
-        // Collect completions oldest-first; recoveries may squash younger
-        // ones, which then simply fail the lookup.  The seq list lives in a
-        // reusable scratch buffer — this runs every cycle on every core.
-        let mut ready = std::mem::take(&mut self.complete_scratch);
-        ready.clear();
-        ready.extend(
-            self.rob
-                .iter()
-                .filter(|e| e.stage == Stage::Executing && e.done_at <= now)
-                .map(|e| e.seq),
-        );
-        for &seq in &ready {
-            let Some(entry) = self.rob.get_mut(seq) else {
-                continue; // squashed by an older branch this cycle
+        // Pop what is due, oldest first.  A completion comes due exactly at
+        // its `done_at` (latencies are at least one cycle, and this runs
+        // every cycle the core runs), so everything popped here shares
+        // `now` and the `(done_at, seq)` order is age order.  A recovery may
+        // squash younger entries; their queued items then fail the lookup.
+        while let Some(&Reverse((at, seq))) = self.completions.peek() {
+            if at > now {
+                break;
+            }
+            self.completions.pop();
+            let Some(idx) = self.rob.pos(seq) else {
+                continue; // squashed after it issued
             };
-            entry.stage = Stage::Done;
-            let inst = entry.inst;
-            let result = entry.result;
-            let has_dest = inst.dest_ireg().is_some() || inst.dest_freg().is_some();
-            if has_dest {
-                self.rob.broadcast(seq, result);
+            let e = self.rob.at_mut(idx);
+            debug_assert_eq!((at, e.stage), (now, Stage::Executing));
+            e.stage = Stage::Done;
+            let inst = e.inst;
+            let (pc, result) = (e.pc, e.result);
+            let (taken, target) = (e.resolved_taken, e.resolved_target);
+            let (predicted_taken, predicted_target) = (e.predicted_taken, e.predicted_target);
+            if inst.dest_ireg().is_some() || inst.dest_freg().is_some() {
+                self.rob.wakeup(seq, result);
             }
             match inst {
                 Inst::Branch { .. } => {
-                    let e = self.rob.get_mut(seq).unwrap();
-                    let taken = e.resolved_taken;
-                    let target = e.resolved_target;
-                    let pc = e.pc;
-                    let predicted_taken = e.predicted_taken;
                     self.stats.cond_branches.inc();
                     self.bimodal.update(pc, taken);
                     if taken {
@@ -427,13 +466,9 @@ impl Core {
                     }
                 }
                 Inst::Jr { .. } => {
-                    let e = self.rob.get_mut(seq).unwrap();
-                    let target = e.resolved_target;
-                    let pc = e.pc;
-                    let predicted = e.predicted_target;
                     self.stats.indirect_jumps.inc();
                     self.btb.update(pc, target);
-                    if predicted == u32::MAX {
+                    if predicted_target == u32::MAX {
                         // Fetch was stalled waiting for this jr: redirect,
                         // nothing younger exists to squash.
                         self.jr_stall = false;
@@ -441,7 +476,7 @@ impl Core {
                         self.fetch_pc = target;
                         self.fetch_ready_at = now.plus(1);
                         self.fetch_block = None;
-                    } else if predicted != target {
+                    } else if predicted_target != target {
                         self.stats.mispredicted_indirect.inc();
                         self.recover(seq, target, now);
                     }
@@ -449,7 +484,6 @@ impl Core {
                 _ => {}
             }
         }
-        self.complete_scratch = ready;
     }
 
     /// Branch misprediction recovery: squash everything younger than `seq`,
@@ -466,14 +500,7 @@ impl Core {
             .checkpoint
             .take()
             .expect("recovering branch without checkpoint");
-        self.rat.restore(&checkpoint);
-        let squashed = self.rob.squash_younger(seq);
-        self.flush_trace.push(FlushRec {
-            cycle: now.0,
-            pc: branch_pc,
-            new_pc,
-            squashed: squashed.len() as u32,
-        });
+        self.rob.restore_checkpoint(checkpoint, &mut self.rat);
         if self.cfg.wrong_path_loads {
             // Results of squashed producers that already issued: functional
             // execution computes a value at issue, so any non-waiting entry
@@ -483,22 +510,24 @@ impl Core {
             // computable when the branch resolves (Figure 3's loads C/D).
             // Squashed seqs span a narrow range (a ROB suffix, possibly with
             // gaps), so the producer table is a dense vector indexed by
-            // `seq - base`, reused across recoveries.
-            let base_seq = squashed.first().map(|e| e.seq).unwrap_or(0);
+            // `seq - base`, reused across recoveries.  The suffix is sifted
+            // in place, before it is squashed.
+            let squashed = self.rob.younger_than(seq);
+            let base_seq = squashed.clone().next().map_or(0, |e| e.seq);
             let span = squashed
-                .last()
-                .map(|e| (e.seq - base_seq) as usize + 1)
-                .unwrap_or(0);
+                .clone()
+                .next_back()
+                .map_or(0, |e| (e.seq - base_seq) as usize + 1);
             self.recover_produced.clear();
             self.recover_produced.resize(span, None);
-            for e in &squashed {
+            for e in squashed.clone() {
                 if e.stage != Stage::Waiting
                     && (e.inst.dest_ireg().is_some() || e.inst.dest_freg().is_some())
                 {
                     self.recover_produced[(e.seq - base_seq) as usize] = Some(e.result);
                 }
             }
-            for e in &squashed {
+            for e in squashed {
                 if !e.inst.is_load() || e.mem_issued {
                     continue;
                 }
@@ -525,6 +554,13 @@ impl Core {
                 }
             }
         }
+        let squashed = self.rob.squash_younger(seq);
+        self.flush_trace.push(FlushRec {
+            cycle: now.0,
+            pc: branch_pc,
+            new_pc,
+            squashed: squashed as u32,
+        });
         self.fetch_queue.clear();
         self.jr_stall = false;
         self.fetch_enabled = true;
@@ -552,15 +588,17 @@ impl Core {
     }
 
     fn issue(&mut self, env: &mut dyn CoreEnv, now: Cycle) {
+        // Select walks the ready set oldest first.  Issuing never wakes an
+        // entry (wakeup happens at completion), so the set only shrinks
+        // during the walk; an entry that fails to start stays for next cycle.
         let mut issued = 0;
-        let mut idx = 0;
-        while idx < self.rob.len() && issued < self.cfg.width {
-            let e = self.rob.at(idx);
-            if e.stage != Stage::Waiting || !e.srcs_ready() {
-                idx += 1;
-                continue;
-            }
-            let inst = e.inst;
+        let mut k = 0;
+        while k < self.rob.ready().len() && issued < self.cfg.width {
+            let idx = self
+                .rob
+                .pos(self.rob.ready()[k])
+                .expect("ready entry outside the window");
+            let inst = self.rob.at(idx).inst;
             let class = inst.fu_class();
             if inst.is_load() {
                 if self.try_issue_load(env, idx, now) {
@@ -600,9 +638,14 @@ impl Core {
                 }
                 e.stage = Stage::Executing;
                 e.done_at = now.plus(latency);
+                self.completions.push(Reverse((e.done_at, e.seq)));
                 issued += 1;
             }
-            idx += 1;
+            if self.rob.at(idx).stage == Stage::Waiting {
+                k += 1;
+            } else {
+                self.rob.unready(k);
+            }
         }
     }
 
@@ -669,6 +712,7 @@ impl Core {
             e.done_at = now.plus(1);
             e.mem_issued = true;
             e.forwarded = true;
+            self.completions.push(Reverse((e.done_at, e.seq)));
             self.stats.forwarded_loads.inc();
             return true;
         }
@@ -680,6 +724,7 @@ impl Core {
                 e.stage = Stage::Executing;
                 e.done_at = ready_at.max(now.plus(1));
                 e.mem_issued = true;
+                self.completions.push(Reverse((e.done_at, e.seq)));
                 true
             }
             // Port/MSHR pressure or dependence wait: retry next cycle (the
@@ -738,7 +783,7 @@ impl Core {
             // Checkpoint before renaming the destination: branches have no
             // destination, so order does not matter, but keep it explicit.
             if matches!(f.inst, Inst::Branch { .. } | Inst::Jr { .. }) {
-                e.checkpoint = Some(Box::new(self.rat.clone()));
+                e.checkpoint = Some(self.rob.checkpoint(&self.rat));
             }
 
             if let Some(rd) = f.inst.dest_ireg() {
