@@ -29,7 +29,7 @@ fn bench_cache(c: &mut Criterion) {
             } else {
                 AccessKind::CorrectLoad
             };
-            dp.access(addr, kind, now, &mut l2)
+            dp.access(addr, kind, 0x40, now, &mut l2)
         })
     });
 

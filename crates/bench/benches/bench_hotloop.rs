@@ -20,7 +20,7 @@ use wec_core::membuf::MemBuffer;
 use wec_mem::cache::{Cache, CacheGeometry};
 use wec_mem::line::LineFlags;
 use wec_telemetry::TelemetryConfig;
-use wec_trace::{capture_run, replay, CaptureMeta};
+use wec_trace::{capture_run, replay_slab, CaptureMeta, TraceSlab};
 use wec_workloads::{run_and_verify, Bench, Scale};
 
 fn bench_membuf(c: &mut Criterion) {
@@ -211,8 +211,9 @@ fn bench_trace(c: &mut Criterion) {
         cfg_label: "bench/wth-wp-wec/t8".to_string(),
     };
 
-    // Full-timing run with the access tap recording (compare against the
-    // untraced "simulate mcf smoke" number above for capture overhead).
+    // Full-timing run with the trace recorder attached to every L1D and
+    // L1I (compare against the untraced "simulate mcf smoke" number above
+    // for capture overhead).
     group.bench_function("simulate mcf smoke (wth-wp-wec, capture on)", |b| {
         b.iter(|| {
             capture_run(&mcf, cfg.clone(), &meta)
@@ -225,18 +226,20 @@ fn bench_trace(c: &mut Criterion) {
 
     // Trace-driven replay of one sweep point: the cache hierarchy alone,
     // re-driven from the captured stream (records/s = trace records over
-    // the median time of this entry).
+    // the median time of this entry).  This is the slab loop every sweep
+    // runs; the decode and merge it amortizes stay outside the timing.
     let (_, trace) = capture_run(&mcf, cfg.clone(), &meta).unwrap();
+    let slab = TraceSlab::build_seq(&trace).unwrap();
     eprintln!(
         "replay throughput entry drives {} records per iteration",
-        trace.header.total_records
+        slab.records()
     );
     group.bench_function("replay mcf smoke trace (one sweep point)", |b| {
-        b.iter(|| replay(&trace, &cfg).unwrap().records)
+        b.iter(|| replay_slab(&slab, &cfg).unwrap().records)
     });
     group.finish();
 
-    // Capture-overhead guard: the tap must stay cheap relative to the
+    // Capture-overhead guard: the recorder must stay cheap relative to the
     // timing model it records.  Direct median-of-5 comparison so the
     // warning works even without a criterion JSON capture.
     let median = |f: &dyn Fn() -> u64| {

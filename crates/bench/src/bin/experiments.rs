@@ -48,7 +48,7 @@
 //! `--capture-trace DIR` switches into **trace-capture mode**: each
 //! selected workload (default all six; `--only` substring-filters) runs
 //! once, full-timing, on the paper's `wth-wp-wec` 8-TU machine with the
-//! memory-access tap on, writing `DIR/<bench>.wectrace`, golden cache
+//! trace recorder on, writing `DIR/<bench>.wectrace`, golden cache
 //! counters under `DIR/golden/`, and a `DIR/capture.json` manifest.
 //! `--replay-trace DIR` then re-drives *only the cache hierarchy* from
 //! those traces across the 48-point WEC geometry sweep, re-checking each

@@ -28,6 +28,11 @@
 //! golden check writes — are validated against `wec-attribution-v1`,
 //! which enforces the conservation invariant (`useful + wasted +
 //! victim_rescued + still_resident == wec_fills`) per TU and globally.
+//! When `DIR` holds both `events.jsonl` and `attribution.json` (one run
+//! with `--trace-events --attribution`), their side-structure counts must
+//! agree: `wec_fill`, `victim_transfer` and `next_line_prefetch` events
+//! equal the ledger's wrong, victim and prefetch fills, and `wec_hit`
+//! events equal `useful + victim_rescued`.
 //! Each `--require kind` additionally asserts that the event trace
 //! contains at least one event of that kind (e.g. `--require wec_fill
 //! --require wec_hit`); `--require-attribution` asserts that at least
@@ -259,6 +264,7 @@ fn main() -> ExitCode {
     // writes.  The validator enforces conservation and the origin split
     // per TU and globally, so an `ok` line here is the ledger invariant.
     let mut attr_docs = 0u32;
+    let mut run_ledger = None;
     let mut ledgers: Vec<_> = std::fs::read_dir(dir)
         .into_iter()
         .flatten()
@@ -282,9 +288,30 @@ fn main() -> ExitCode {
                 );
                 validated += 1;
                 attr_docs += 1;
+                if name == "attribution.json" {
+                    run_ledger = Some(c);
+                }
             }
             Err(e) => {
                 eprintln!("FAIL {name}: {e}");
+                failures += 1;
+            }
+        }
+    }
+    // A telemetry-mode run that wrote both the event trace and the ledger:
+    // the data path reports each side fill and side hit once, to both.
+    if let (Some(r), Some(c)) = (&report, run_ledger) {
+        for (kind, want) in [
+            ("wec_fill", c.fills_wrong),
+            ("victim_transfer", c.fills_victim),
+            ("next_line_prefetch", c.fills_prefetch),
+            ("wec_hit", c.useful + c.victim_rescued),
+        ] {
+            let got = r.count_of(kind);
+            if got == want {
+                println!("ok  {kind}: {got} events, as attribution.json counts");
+            } else {
+                eprintln!("FAIL {kind}: {got} events, attribution.json counts {want}");
                 failures += 1;
             }
         }

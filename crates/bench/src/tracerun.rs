@@ -2,8 +2,8 @@
 //! `--replay-trace` modes of the `experiments` binary.
 //!
 //! Capture runs each selected workload once on the paper's `wth-wp-wec`
-//! 8-TU machine with the memory-access tap attached, writing into the
-//! capture directory:
+//! 8-TU machine with the trace recorder attached to its data paths,
+//! writing into the capture directory:
 //!
 //! * `<bench>.wectrace` — the compressed access trace;
 //! * `golden/<bench>.kv` — the full-timing run's cache counters (the

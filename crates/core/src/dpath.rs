@@ -22,6 +22,21 @@
 //!   goes into the WEC (victim-cache behaviour);
 //! * without a WEC, wrong-execution fills go straight into the L1 — exactly
 //!   the pollution the paper measures in its `wp`/`wth` configurations.
+//!
+//! # Observation
+//!
+//! The data path reports what it does as one event stream: each
+//! observation point makes one `emit` of a [`DpEvent`] (access, demand
+//! hit/miss, side hit, side fill by origin, side evict, miss to the L2),
+//! stamped with the cycle and raw address, into one optional
+//! [`DpObserver`] slot.  The slot fans each event out to up to three
+//! consumers: the telemetry buffer behind `events.jsonl`, the speculation
+//! attribution ledger, and the trace-capture recorder.  With nothing
+//! attached each site costs one `is_some` branch, and attaching any
+//! consumer leaves every counter byte-identical.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use wec_common::error::SimResult;
 use wec_common::ids::{Addr, Cycle};
@@ -33,7 +48,6 @@ use wec_mem::ports::PortSet;
 use wec_mem::prefetch::TaggedNextLine;
 use wec_mem::stats::{AccessKind, CacheStats};
 use wec_telemetry::attr::{AttrProbe, FillOrigin};
-use wec_telemetry::{CacheEvent, CacheTrace};
 
 /// Which side structure sits beside the L1.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,6 +103,82 @@ impl DataPathConfig {
     }
 }
 
+/// One observation of the data path.  Each site emits exactly one, stamped
+/// with the cycle and the raw byte address it concerns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DpEvent {
+    /// An access presented to [`DataPath::access`], emitted before the port
+    /// check: an attempt that comes back `Retry` is observed, and observed
+    /// again when it is re-presented.
+    Access { pc: u32, kind: AccessKind },
+    /// A correct-path access resolved against the L1 (`hit` mirrors the
+    /// `CacheStats` hit/miss split exactly).
+    Demand { hit: bool },
+    /// A correct-path L1 miss served by the side structure.
+    SideHit {
+        wrong_fetched: bool,
+        prefetched: bool,
+    },
+    /// The side structure accepted a fill.
+    SideFill(FillOrigin),
+    /// The side structure evicted a line to make room.
+    SideEvict,
+    /// A double miss sent to the L2 (`wrong` = wrong-execution access).
+    MissToNext { wrong: bool },
+}
+
+/// Trace capture's consumer of the stream: it sees every
+/// [`DpEvent::Access`] and nothing else.
+pub trait AccessRecorder {
+    fn record(&mut self, cycle: u64, pc: u32, addr: u64, kind: AccessKind);
+}
+
+/// The consumers of one data path's event stream, behind its one observer
+/// slot.  Each is optional, and none feeds anything back into the model.
+#[derive(Default)]
+pub struct DpObserver {
+    /// Telemetry buffer of `(cycle, event, block address)` for the events
+    /// `events.jsonl` renders (side fills, side hits, misses to the L2);
+    /// the machine drains it and tags the TU once per cycle.
+    pub events: Option<Vec<(u64, DpEvent, u64)>>,
+    /// Speculation attribution ledger.
+    pub ledger: Option<AttrProbe>,
+    /// Trace-capture recorder.  One thread unit's L1D and L1I share it, so
+    /// both feed one per-TU stream in admission order.
+    pub recorder: Option<Rc<RefCell<dyn AccessRecorder>>>,
+}
+
+impl DpObserver {
+    /// Fan one event out to the attached consumers.  Out of line, so an
+    /// unobserved site is only the branch around this call.
+    #[inline(never)]
+    fn on(&mut self, cycle: u64, addr: u64, ev: DpEvent, block_bytes: u64) {
+        if let Some(ledger) = self.ledger.as_mut() {
+            match ev {
+                DpEvent::Access { pc, .. } => ledger.note_pc(pc),
+                DpEvent::Demand { hit } => ledger.on_l1_demand(addr, hit),
+                DpEvent::SideHit { .. } => ledger.on_side_hit(addr, cycle),
+                DpEvent::SideFill(origin) => ledger.on_side_fill(addr, cycle, origin),
+                DpEvent::SideEvict => ledger.on_side_evict(addr),
+                DpEvent::MissToNext { .. } => {}
+            }
+        }
+        match ev {
+            DpEvent::Access { pc, kind } => {
+                if let Some(r) = &self.recorder {
+                    r.borrow_mut().record(cycle, pc, addr, kind);
+                }
+            }
+            DpEvent::Demand { .. } | DpEvent::SideEvict => {}
+            _ => {
+                if let Some(buf) = self.events.as_mut() {
+                    buf.push((cycle, ev, Addr(addr).block_base(block_bytes).0));
+                }
+            }
+        }
+    }
+}
+
 /// Result of a data-path access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DpResult {
@@ -108,12 +198,12 @@ pub enum DpResult {
 ///
 /// let mut dp = DataPath::new(DataPathConfig::paper_default(SideKind::Wec))?;
 /// let mut l2 = SharedL2::new(L2Config::default())?;
-/// // A wrong-execution load fills the WEC, never the L1 (Figure 6):
-/// dp.access(Addr(0x4000), AccessKind::WrongPathLoad, Cycle(0), &mut l2);
+/// // A wrong-execution load (PC 0x40) fills the WEC, never the L1 (Figure 6):
+/// dp.access(Addr(0x4000), AccessKind::WrongPathLoad, 0x40, Cycle(0), &mut l2);
 /// assert!(dp.side_contains(Addr(0x4000)) && !dp.l1_contains(Addr(0x4000)));
 /// // The correct path later demands it: a fast WEC hit that swaps the
 /// // block into the L1 and chains a next-line prefetch.
-/// let r = dp.access(Addr(0x4000), AccessKind::CorrectLoad, Cycle(500), &mut l2);
+/// let r = dp.access(Addr(0x4000), AccessKind::CorrectLoad, 0x80, Cycle(500), &mut l2);
 /// assert_eq!(r, DpResult::Done { ready_at: Cycle(501) });
 /// assert!(dp.l1_contains(Addr(0x4000)));
 /// # Ok::<(), wec_common::SimError>(())
@@ -126,13 +216,8 @@ pub struct DataPath {
     mshrs: Mshrs,
     nlp: TaggedNextLine,
     pub stats: CacheStats,
-    /// Gated telemetry buffer (WEC fills, side hits, victim transfers,
-    /// prefetches, misses); drained and TU-tagged by the machine.
-    pub trace: CacheTrace,
-    /// Speculation attribution ledger (`None` unless attribution is on);
-    /// one `is_some` branch per hook when off, so goldens stay
-    /// byte-identical either way.
-    pub attr: Option<Box<AttrProbe>>,
+    /// The one observer slot (`None` unless something watches this path).
+    pub obs: Option<Box<DpObserver>>,
 }
 
 impl DataPath {
@@ -153,8 +238,7 @@ impl DataPath {
             mshrs: Mshrs::new(cfg.mshrs, cfg.block_bytes),
             nlp: TaggedNextLine::new(),
             stats: CacheStats::default(),
-            trace: CacheTrace::default(),
-            attr: None,
+            obs: None,
         })
     }
 
@@ -162,33 +246,37 @@ impl DataPath {
         &self.cfg
     }
 
-    /// Attach a speculation attribution probe sized to this L1's geometry.
-    /// Purely observational: the access stream, stats, and goldens are
-    /// byte-identical with or without it.
-    pub fn enable_attribution(&mut self) {
-        let sets = self.l1.geometry().sets as usize;
-        self.attr = Some(Box::new(AttrProbe::new(sets, self.cfg.block_bytes)));
+    /// The observer slot, created empty on first use; consumers attach by
+    /// setting its fields.
+    pub fn observe(&mut self) -> &mut DpObserver {
+        self.obs.get_or_insert_with(Default::default)
     }
 
-    /// Announce the PC of the access about to be presented (stores pass 0,
-    /// matching the trace-record convention).  No-op when attribution is
-    /// off.
+    /// A speculation attribution ledger sized to this L1's geometry.
+    pub fn new_ledger(&self) -> AttrProbe {
+        AttrProbe::new(self.l1.geometry().sets as usize, self.cfg.block_bytes)
+    }
+
     #[inline]
-    pub fn attr_note_pc(&mut self, pc: u32) {
-        if let Some(a) = self.attr.as_deref_mut() {
-            a.note_pc(pc);
+    fn emit(&mut self, now: Cycle, addr: Addr, ev: DpEvent) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.on(now.0, addr.0, ev, self.cfg.block_bytes);
         }
     }
 
     /// Access the data path. `kind` routes the access per Figure 6; stores
-    /// pass `AccessKind::CorrectStore` (write-allocate, mark dirty).
+    /// pass `AccessKind::CorrectStore` (write-allocate, mark dirty).  `pc`
+    /// is the issuing instruction's (0 for committed-store drains, the
+    /// fetch address for instruction fetches); only observers read it.
     pub fn access(
         &mut self,
         addr: Addr,
         kind: AccessKind,
+        pc: u32,
         now: Cycle,
         l2: &mut SharedL2,
     ) -> DpResult {
+        self.emit(now, addr, DpEvent::Access { pc, kind });
         if !self.ports.try_claim(now) {
             return DpResult::Retry;
         }
@@ -215,9 +303,7 @@ impl DataPath {
         // Merge into an outstanding refill first.
         if let Some(ready) = self.mshrs.pending(addr, now) {
             self.stats.record(kind, true);
-            if let Some(a) = self.attr.as_deref_mut() {
-                a.on_l1_demand(addr.0, true);
-            }
+            self.emit(now, addr, DpEvent::Demand { hit: true });
             if is_store {
                 self.l1.set_dirty(addr);
             }
@@ -236,9 +322,7 @@ impl DataPath {
                 flags.dirty = true;
             }
             self.stats.record(kind, true);
-            if let Some(a) = self.attr.as_deref_mut() {
-                a.on_l1_demand(addr.0, true);
-            }
+            self.emit(now, addr, DpEvent::Demand { hit: true });
             if was_wrong {
                 self.stats.useful_wrong_fetches.inc();
             }
@@ -256,26 +340,21 @@ impl DataPath {
         }
 
         self.stats.record(kind, false);
-        if let Some(a) = self.attr.as_deref_mut() {
-            a.on_l1_demand(addr.0, false);
-        }
+        self.emit(now, addr, DpEvent::Demand { hit: false });
 
         // L1 miss: probe the side structure.
         if let Some(side_line) = self.side.as_mut().and_then(|s| s.take(addr)) {
             self.stats.side_hits.inc();
             let was_wrong = side_line.flags.wrong_fetched;
             let was_prefetched = side_line.flags.prefetched;
-            self.trace.push(
-                now.0,
-                CacheEvent::SideHit {
+            self.emit(
+                now,
+                addr,
+                DpEvent::SideHit {
                     wrong_fetched: was_wrong,
                     prefetched: was_prefetched,
                 },
-                addr.block_base(block_bytes).0,
             );
-            if let Some(a) = self.attr.as_deref_mut() {
-                a.on_side_hit(addr.0, now.0);
-            }
             if was_wrong {
                 self.stats.useful_wrong_fetches.inc();
             }
@@ -297,9 +376,7 @@ impl DataPath {
                             .as_mut()
                             .unwrap()
                             .insert(victim.addr, victim.flags);
-                        if let Some(a) = self.attr.as_deref_mut() {
-                            a.on_side_fill(victim.addr.0, now.0, FillOrigin::Victim);
-                        }
+                        self.emit(now, victim.addr, DpEvent::SideFill(FillOrigin::Victim));
                     }
                     if self.cfg.side == SideKind::Wec && (was_wrong || was_prefetched) {
                         // First correct use of a wrongly-fetched block:
@@ -337,11 +414,7 @@ impl DataPath {
 
         // Miss everywhere: fetch from L2 into the L1.
         self.stats.demand_misses_to_next_level.inc();
-        self.trace.push(
-            now.0,
-            CacheEvent::MissToNext { wrong: false },
-            addr.block_base(block_bytes).0,
-        );
+        self.emit(now, addr, DpEvent::MissToNext { wrong: false });
         let fetch_start = now.plus(hit_latency);
         let ready = match self
             .mshrs
@@ -360,20 +433,14 @@ impl DataPath {
                 SideKind::Victim | SideKind::Wec => {
                     // Victim-cache behaviour: the displaced block parks in
                     // the side structure.
-                    self.trace
-                        .push(now.0, CacheEvent::VictimTransfer, victim.addr.0);
-                    if let Some(a) = self.attr.as_deref_mut() {
-                        a.on_side_fill(victim.addr.0, now.0, FillOrigin::Victim);
-                    }
+                    self.emit(now, victim.addr, DpEvent::SideFill(FillOrigin::Victim));
                     if let Some(side_victim) = self
                         .side
                         .as_mut()
                         .unwrap()
                         .insert(victim.addr, victim.flags)
                     {
-                        if let Some(a) = self.attr.as_deref_mut() {
-                            a.on_side_evict(side_victim.addr.0);
-                        }
+                        self.emit(now, side_victim.addr, DpEvent::SideEvict);
                         self.writeback_if_dirty(side_victim.addr, side_victim.flags, now, l2);
                     }
                 }
@@ -421,11 +488,7 @@ impl DataPath {
         }
         // Double miss: fetch from the next level.
         self.stats.wrong_misses_to_next_level.inc();
-        self.trace.push(
-            now.0,
-            CacheEvent::MissToNext { wrong: true },
-            addr.block_base(self.cfg.block_bytes).0,
-        );
+        self.emit(now, addr, DpEvent::MissToNext { wrong: true });
         let fetch_start = now.plus(hit_latency);
         let ready = match self
             .mshrs
@@ -438,18 +501,9 @@ impl DataPath {
             SideKind::Wec => {
                 // The paper's central rule: wrong-execution fills go to the
                 // WEC, never the L1.
-                self.trace.push(
-                    now.0,
-                    CacheEvent::WecFill,
-                    addr.block_base(self.cfg.block_bytes).0,
-                );
-                if let Some(a) = self.attr.as_deref_mut() {
-                    a.on_side_fill(addr.0, now.0, FillOrigin::Wrong);
-                }
+                self.emit(now, addr, DpEvent::SideFill(FillOrigin::Wrong));
                 if let Some(victim) = self.side.as_mut().unwrap().insert(addr, LineFlags::WRONG) {
-                    if let Some(a) = self.attr.as_deref_mut() {
-                        a.on_side_evict(victim.addr.0);
-                    }
+                    self.emit(now, victim.addr, DpEvent::SideEvict);
                     self.writeback_if_dirty(victim.addr, victim.flags, now, l2);
                 }
             }
@@ -459,18 +513,14 @@ impl DataPath {
                 if let Some(victim) = self.l1.insert(addr, LineFlags::WRONG) {
                     self.stats.evictions.inc();
                     if self.cfg.side == SideKind::Victim {
-                        if let Some(a) = self.attr.as_deref_mut() {
-                            a.on_side_fill(victim.addr.0, now.0, FillOrigin::Victim);
-                        }
+                        self.emit(now, victim.addr, DpEvent::SideFill(FillOrigin::Victim));
                         if let Some(side_victim) = self
                             .side
                             .as_mut()
                             .unwrap()
                             .insert(victim.addr, victim.flags)
                         {
-                            if let Some(a) = self.attr.as_deref_mut() {
-                                a.on_side_evict(side_victim.addr.0);
-                            }
+                            self.emit(now, side_victim.addr, DpEvent::SideEvict);
                             self.writeback_if_dirty(side_victim.addr, side_victim.flags, now, l2);
                         }
                     } else {
@@ -499,11 +549,6 @@ impl DataPath {
         {
             return;
         }
-        self.trace.push(
-            now.0,
-            CacheEvent::NextLinePrefetch,
-            addr.block_base(self.cfg.block_bytes).0,
-        );
         // Prefetches ride the L2 in the background; nobody waits on them, so
         // the instant-fill simplification costs nothing here.
         let _ = l2.access(
@@ -513,13 +558,9 @@ impl DataPath {
             now.plus(self.cfg.hit_latency),
         );
         if self.side.is_some() {
-            if let Some(a) = self.attr.as_deref_mut() {
-                a.on_side_fill(addr.0, now.0, FillOrigin::Prefetch);
-            }
+            self.emit(now, addr, DpEvent::SideFill(FillOrigin::Prefetch));
             if let Some(victim) = self.side.as_mut().unwrap().insert(addr, flags) {
-                if let Some(a) = self.attr.as_deref_mut() {
-                    a.on_side_evict(victim.addr.0);
-                }
+                self.emit(now, victim.addr, DpEvent::SideEvict);
                 self.writeback_if_dirty(victim.addr, victim.flags, now, l2);
             }
         }
@@ -584,7 +625,7 @@ mod tests {
         let mut d = dp(SideKind::Wec);
         let mut l2 = l2();
         let a = Addr(0x1_0000);
-        done(d.access(a, AccessKind::WrongPathLoad, Cycle(0), &mut l2));
+        done(d.access(a, AccessKind::WrongPathLoad, 0, Cycle(0), &mut l2));
         assert!(!d.l1_contains(a), "wrong fill polluted the L1");
         assert!(d.side_contains(a));
         assert!(d.side_flags(a).unwrap().wrong_fetched);
@@ -596,7 +637,7 @@ mod tests {
             let mut d = dp(side);
             let mut l2 = l2();
             let a = Addr(0x1_0000);
-            done(d.access(a, AccessKind::WrongThreadLoad, Cycle(0), &mut l2));
+            done(d.access(a, AccessKind::WrongThreadLoad, 0, Cycle(0), &mut l2));
             assert!(d.l1_contains(a), "{side:?}");
         }
     }
@@ -607,10 +648,10 @@ mod tests {
         let mut l2 = l2();
         let a = Addr(0x2_0000);
         // Wrong execution brings the block into the WEC...
-        done(d.access(a, AccessKind::WrongPathLoad, Cycle(0), &mut l2));
+        done(d.access(a, AccessKind::WrongPathLoad, 0, Cycle(0), &mut l2));
         // ...then the correct path demands it (after the refill lands):
         // fast hit, block moves to L1, next line prefetched into the WEC.
-        let t = done(d.access(a, AccessKind::CorrectLoad, Cycle(400), &mut l2));
+        let t = done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(400), &mut l2));
         assert_eq!(t, Cycle(401), "WEC hit must cost the L1 hit latency");
         assert!(d.l1_contains(a));
         assert!(!d.l1.peek(a).unwrap().wrong_fetched);
@@ -627,13 +668,13 @@ mod tests {
         // Two conflicting blocks (8 KB apart, direct-mapped).
         let a = Addr(0x0_0000);
         let b = Addr(0x0_2000);
-        done(d.access(a, AccessKind::CorrectLoad, Cycle(0), &mut l2));
-        done(d.access(b, AccessKind::CorrectLoad, Cycle(400), &mut l2));
+        done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(0), &mut l2));
+        done(d.access(b, AccessKind::CorrectLoad, 0, Cycle(400), &mut l2));
         assert!(d.l1_contains(b));
         assert!(!d.l1_contains(a));
         assert!(d.side_contains(a), "victim not parked in the WEC");
         // And the conflicting re-reference is now a cheap swap.
-        let t = done(d.access(a, AccessKind::CorrectLoad, Cycle(800), &mut l2));
+        let t = done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(800), &mut l2));
         assert_eq!(t, Cycle(801));
         assert!(d.l1_contains(a) && d.side_contains(b));
     }
@@ -644,9 +685,9 @@ mod tests {
         let mut l2 = l2();
         let a = Addr(0x0_0000);
         let b = Addr(0x0_2000);
-        done(d.access(a, AccessKind::CorrectLoad, Cycle(0), &mut l2));
-        done(d.access(b, AccessKind::CorrectLoad, Cycle(400), &mut l2));
-        let t = done(d.access(a, AccessKind::CorrectLoad, Cycle(800), &mut l2));
+        done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(0), &mut l2));
+        done(d.access(b, AccessKind::CorrectLoad, 0, Cycle(400), &mut l2));
+        let t = done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(800), &mut l2));
         assert_eq!(t, Cycle(801));
         assert_eq!(d.stats.side_hits.get(), 1);
     }
@@ -656,8 +697,8 @@ mod tests {
         let mut d = dp(SideKind::Wec);
         let mut l2 = l2();
         let a = Addr(0x3_0000);
-        done(d.access(a, AccessKind::CorrectLoad, Cycle(0), &mut l2));
-        done(d.access(a, AccessKind::WrongPathLoad, Cycle(400), &mut l2));
+        done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(0), &mut l2));
+        done(d.access(a, AccessKind::WrongPathLoad, 0, Cycle(400), &mut l2));
         assert!(d.l1_contains(a));
         assert!(!d.side_contains(a));
         assert_eq!(d.stats.wrong_accesses.get(), 1);
@@ -669,43 +710,119 @@ mod tests {
         let mut d = dp(SideKind::PrefetchBuffer);
         let mut l2 = l2();
         let a = Addr(0x4_0000);
-        done(d.access(a, AccessKind::CorrectLoad, Cycle(0), &mut l2));
+        done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(0), &mut l2));
         let next = a.next_block(64);
         assert!(d.side_contains(next), "miss must arm a prefetch");
         // Demand the prefetched block: it promotes to L1 and re-arms.
-        let t = done(d.access(next, AccessKind::CorrectLoad, Cycle(400), &mut l2));
+        let t = done(d.access(next, AccessKind::CorrectLoad, 0, Cycle(400), &mut l2));
         assert_eq!(t, Cycle(401), "prefetch-buffer hit should be fast");
         assert!(d.l1_contains(next));
         assert!(d.side_contains(next.next_block(64)));
         assert_eq!(d.stats.useful_prefetches.get(), 1);
     }
 
+    /// `d` with an empty telemetry buffer attached.
+    fn observed(side: SideKind) -> DataPath {
+        let mut d = dp(side);
+        d.observe().events = Some(Vec::new());
+        d
+    }
+
+    fn drain(d: &mut DataPath) -> Vec<(u64, DpEvent, u64)> {
+        d.observe().events.as_mut().unwrap().drain(..).collect()
+    }
+
     #[test]
     fn trace_captures_wec_fill_and_hit() {
-        let mut d = dp(SideKind::Wec);
+        let mut d = observed(SideKind::Wec);
         let mut l2 = l2();
-        d.trace.set_enabled(true);
         let a = Addr(0x2_0000);
-        done(d.access(a, AccessKind::WrongPathLoad, Cycle(0), &mut l2));
-        done(d.access(a, AccessKind::CorrectLoad, Cycle(400), &mut l2));
-        let evs: Vec<_> = d.trace.drain().collect();
-        assert!(evs.contains(&(0, CacheEvent::MissToNext { wrong: true }, a.0)));
-        assert!(evs.contains(&(0, CacheEvent::WecFill, a.0)));
+        done(d.access(a, AccessKind::WrongPathLoad, 0, Cycle(0), &mut l2));
+        done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(400), &mut l2));
+        let evs = drain(&mut d);
+        assert!(evs.contains(&(0, DpEvent::MissToNext { wrong: true }, a.0)));
+        assert!(evs.contains(&(0, DpEvent::SideFill(FillOrigin::Wrong), a.0)));
         assert!(evs.iter().any(|&(c, e, ad)| c == 400
             && ad == a.0
             && matches!(
                 e,
-                CacheEvent::SideHit {
+                DpEvent::SideHit {
                     wrong_fetched: true,
                     ..
                 }
             )));
         assert!(
             evs.iter()
-                .any(|&(_, e, _)| e == CacheEvent::NextLinePrefetch),
+                .any(|&(_, e, _)| e == DpEvent::SideFill(FillOrigin::Prefetch)),
             "WEC hit must chain a next-line prefetch event"
         );
+        assert!(
+            evs.iter().all(|&(_, e, _)| !matches!(
+                e,
+                DpEvent::Access { .. } | DpEvent::Demand { .. } | DpEvent::SideEvict
+            )),
+            "the telemetry buffer keeps only the events it renders"
+        );
         assert_eq!(d.side_occupancy(), 1);
+    }
+
+    #[test]
+    fn every_victim_path_reports_its_side_fill() {
+        let victim = DpEvent::SideFill(FillOrigin::Victim);
+        // Two conflicting blocks (8 KB apart, direct-mapped), presented in
+        // order: `(block, kind, cycle)`.
+        let (a, b) = (Addr(0x0_0000), Addr(0x0_2000));
+        let run = |side, steps: &[(Addr, AccessKind, u64)]| {
+            let mut d = observed(side);
+            let mut mem = l2();
+            for &(addr, kind, cycle) in steps {
+                done(d.access(addr, kind, 0, Cycle(cycle), &mut mem));
+            }
+            drain(&mut d)
+        };
+
+        // A correct miss parks its victim, and the swap after a side hit
+        // parks the block it displaces.
+        let load = AccessKind::CorrectLoad;
+        let evs = run(
+            SideKind::Wec,
+            &[(a, load, 0), (b, load, 400), (a, load, 800)],
+        );
+        assert!(evs.contains(&(400, victim, a.0)), "miss victim");
+        assert!(evs.contains(&(800, victim, b.0)), "swap victim");
+
+        // A wrong fill that pollutes the L1 pushes its victim into the
+        // victim cache.
+        let wrong = AccessKind::WrongThreadLoad;
+        let evs = run(SideKind::Victim, &[(a, load, 0), (b, wrong, 400)]);
+        assert!(evs.contains(&(400, victim, a.0)), "wrong-fill victim");
+    }
+
+    #[test]
+    fn recorder_sees_every_attempt_including_retries() {
+        #[derive(Default)]
+        struct Log(Vec<(u64, u32, u64, AccessKind)>);
+        impl AccessRecorder for Log {
+            fn record(&mut self, cycle: u64, pc: u32, addr: u64, kind: AccessKind) {
+                self.0.push((cycle, pc, addr, kind));
+            }
+        }
+        let log = Rc::new(RefCell::new(Log::default()));
+        let mut d = dp(SideKind::None);
+        d.observe().recorder = Some(log.clone());
+        let mut l2 = l2();
+        for (i, a) in [0x100, 0x200, 0x300].into_iter().enumerate() {
+            d.access(
+                Addr(a),
+                AccessKind::CorrectLoad,
+                4 * i as u32,
+                Cycle(0),
+                &mut l2,
+            );
+        }
+        // The third attempt found no free port; it is recorded anyway.
+        assert_eq!(log.borrow().0.len(), 3);
+        assert_eq!(log.borrow().0[2], (0, 8, 0x300, AccessKind::CorrectLoad));
     }
 
     #[test]
@@ -715,8 +832,8 @@ mod tests {
         let mut d = dp(SideKind::Wec);
         let mut l2 = l2();
         let a = Addr(0x5_0000);
-        let t_wrong = done(d.access(a, AccessKind::WrongPathLoad, Cycle(0), &mut l2));
-        let t_correct = done(d.access(a, AccessKind::CorrectLoad, Cycle(2), &mut l2));
+        let t_wrong = done(d.access(a, AccessKind::WrongPathLoad, 0, Cycle(0), &mut l2));
+        let t_correct = done(d.access(a, AccessKind::CorrectLoad, 0, Cycle(2), &mut l2));
         assert_eq!(t_wrong, t_correct, "must merge into the same refill");
         assert_eq!(
             l2.stats.wrong_accesses.get() + l2.stats.demand_accesses.get(),
@@ -730,20 +847,20 @@ mod tests {
         let mut l2 = l2();
         let now = Cycle(0);
         assert!(matches!(
-            d.access(Addr(0x100), AccessKind::CorrectLoad, now, &mut l2),
+            d.access(Addr(0x100), AccessKind::CorrectLoad, 0, now, &mut l2),
             DpResult::Done { .. }
         ));
         assert!(matches!(
-            d.access(Addr(0x200), AccessKind::CorrectLoad, now, &mut l2),
+            d.access(Addr(0x200), AccessKind::CorrectLoad, 0, now, &mut l2),
             DpResult::Done { .. }
         ));
         assert_eq!(
-            d.access(Addr(0x300), AccessKind::CorrectLoad, now, &mut l2),
+            d.access(Addr(0x300), AccessKind::CorrectLoad, 0, now, &mut l2),
             DpResult::Retry
         );
         // Next cycle they are free again.
         assert!(matches!(
-            d.access(Addr(0x300), AccessKind::CorrectLoad, Cycle(1), &mut l2),
+            d.access(Addr(0x300), AccessKind::CorrectLoad, 0, Cycle(1), &mut l2),
             DpResult::Done { .. }
         ));
     }
@@ -754,9 +871,9 @@ mod tests {
         let mut l2 = l2();
         let a = Addr(0x0_0000);
         let b = Addr(0x0_2000); // conflicts with a
-        done(d.access(a, AccessKind::CorrectStore, Cycle(0), &mut l2));
+        done(d.access(a, AccessKind::CorrectStore, 0, Cycle(0), &mut l2));
         assert!(d.l1.peek(a).unwrap().dirty);
-        done(d.access(b, AccessKind::CorrectLoad, Cycle(400), &mut l2));
+        done(d.access(b, AccessKind::CorrectLoad, 0, Cycle(400), &mut l2));
         assert_eq!(d.stats.writebacks.get(), 1);
     }
 
@@ -770,6 +887,7 @@ mod tests {
             done(d.access(
                 Addr(0x10_0000 + i * 64),
                 AccessKind::WrongPathLoad,
+                0,
                 Cycle(i * 400),
                 &mut l2,
             ));
@@ -791,14 +909,14 @@ mod tests {
         let blocks: Vec<Addr> = (0..8u64).map(|i| Addr(0x2_0000 + i * 64)).collect();
         let hit = blocks[3];
         let l1_victim = Addr(hit.0 + 0x2000); // same direct-mapped L1 set
-        done(d.access(l1_victim, AccessKind::CorrectLoad, Cycle(0), &mut l2));
+        done(d.access(l1_victim, AccessKind::CorrectLoad, 0, Cycle(0), &mut l2));
         for (i, &b) in blocks.iter().enumerate() {
             let now = Cycle(400 * (i as u64 + 1));
-            done(d.access(b, AccessKind::WrongPathLoad, now, &mut l2));
+            done(d.access(b, AccessKind::WrongPathLoad, 0, now, &mut l2));
         }
         assert_eq!(d.side_occupancy(), 8);
 
-        let t = done(d.access(hit, AccessKind::CorrectLoad, Cycle(8000), &mut l2));
+        let t = done(d.access(hit, AccessKind::CorrectLoad, 0, Cycle(8000), &mut l2));
         assert_eq!(t, Cycle(8001));
         assert_eq!(d.stats.side_hits.get(), 1);
         assert!(d.l1_contains(hit) && !d.side_contains(hit));

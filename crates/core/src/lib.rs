@@ -3,7 +3,7 @@
 //!
 //! * [`dpath`] — the per-thread-unit L1 data path, including the WEC policy
 //!   of Figures 5 and 6 and its comparators (victim cache, tagged next-line
-//!   prefetch buffer);
+//!   prefetch buffer), and the one event stream its observers read;
 //! * [`membuf`] — the speculative memory buffer with run-time dependence
 //!   checking (target stores);
 //! * [`thread`] — dynamic thread contexts;
@@ -48,7 +48,6 @@ pub mod events;
 pub mod machine;
 pub mod membuf;
 pub mod metrics;
-pub mod tap;
 pub mod telemetry;
 pub mod thread;
 

@@ -44,7 +44,6 @@ use crate::dpath::{DataPath, DpResult};
 use crate::events::{EventLog, SchedEvent};
 use crate::membuf::{apply_word, LoadCheck};
 use crate::metrics::{L1dAggregate, MachineMetrics};
-use crate::tap::{AccessRecord, SharedSink};
 use crate::telemetry::MachineTelemetry;
 use crate::thread::{AliveTable, ThreadCtx, ThreadState, TsagDone, WrongSet};
 
@@ -169,9 +168,6 @@ struct Shared {
     /// `Some` only when telemetry is enabled; every per-cycle hook is one
     /// `is_some` branch when off.
     tel: Option<Box<MachineTelemetry>>,
-    /// `Some` only while an access tap is attached (trace capture); each
-    /// data-path access site pays one `is_some` branch when off.
-    tap: Option<SharedSink>,
 }
 
 impl Shared {
@@ -338,13 +334,14 @@ impl Machine {
                 last_committed: 0,
             };
             if trace_events {
-                slot.dpath.trace.set_enabled(true);
+                slot.dpath.observe().events = Some(Vec::new());
                 slot.core.flush_trace.set_enabled(true);
             }
             if attribution {
                 // The ledger watches the L1D only; instruction fetch has no
                 // speculative side structure to attribute.
-                slot.dpath.enable_attribution();
+                let ledger = slot.dpath.new_ledger();
+                slot.dpath.observe().ledger = Some(ledger);
             }
             tus.push(slot);
         }
@@ -390,7 +387,6 @@ impl Machine {
             // lifetimes), so the log turns on with either switch.
             events: EventLog::new(cfg.event_log || cfg.telemetry.enabled()),
             tel,
-            tap: None,
             cfg,
         };
         let prof = if shared.cfg.telemetry.profile {
@@ -410,13 +406,10 @@ impl Machine {
         &self.shared.cfg
     }
 
-    /// Attach a memory-access tap (see [`crate::tap`]): every access the
-    /// timing model admits to a data path is mirrored to `sink`.  The
-    /// caller keeps its own handle on the `Rc` and harvests the recorded
-    /// data after [`Machine::run`].  Attaching a sink does not perturb the
-    /// simulation — captured runs produce bit-identical metrics.
-    pub fn attach_access_sink(&mut self, sink: SharedSink) {
-        self.shared.tap = Some(sink);
+    /// Each thread unit's L1D and L1I, in TU order, for attaching
+    /// observers ([`DataPath::observe`]) before [`Machine::run`].
+    pub fn data_paths_mut(&mut self) -> impl Iterator<Item = (&mut DataPath, &mut DataPath)> {
+        self.tus.iter_mut().map(|s| (&mut s.dpath, &mut s.icache))
     }
 
     /// Run to `halt` (or error / cycle limit).
@@ -513,8 +506,10 @@ impl Machine {
         };
         for (i, slot) in self.tus.iter_mut().enumerate() {
             let tu = i as u32;
-            for (cycle, ev, addr) in slot.dpath.trace.drain() {
-                tel.on_l1(tu, cycle, ev, addr);
+            if let Some(evs) = slot.dpath.obs.as_mut().and_then(|o| o.events.as_mut()) {
+                for (cycle, ev, addr) in evs.drain(..) {
+                    tel.on_l1(tu, cycle, ev, addr);
+                }
             }
             for rec in slot.core.flush_trace.drain() {
                 tel.on_flush(tu, rec);
@@ -808,21 +803,12 @@ impl Machine {
         }
 
         // Drain committed-store timing queues through the L1 ports.
-        for (tu, slot) in self.tus.iter_mut().enumerate() {
+        for slot in self.tus.iter_mut() {
             while let Some(&addr) = slot.sbuf.front() {
-                if let Some(tap) = self.shared.tap.as_ref() {
-                    tap.borrow_mut().record(AccessRecord {
-                        cycle: now.0,
-                        tu: tu as u32,
-                        pc: 0,
-                        addr: addr.0,
-                        kind: AccessKind::CorrectStore,
-                    });
-                }
-                slot.dpath.attr_note_pc(0);
+                // Drained stores have left the pipeline: PC 0.
                 match slot
                     .dpath
-                    .access(addr, AccessKind::CorrectStore, now, &mut self.shared.l2)
+                    .access(addr, AccessKind::CorrectStore, 0, now, &mut self.shared.l2)
                 {
                     DpResult::Done { .. } => {
                         slot.sbuf.pop_front();
@@ -940,12 +926,12 @@ impl Machine {
     /// Fold the per-TU attribution probes into one report (`None` when
     /// attribution is off).  Callable both mid-run and after `run`.
     pub fn attribution_report(&self) -> Option<AttributionReport> {
-        if self.tus.iter().all(|s| s.dpath.attr.is_none()) {
-            return None;
-        }
-        Some(AttributionReport::from_probes(
-            self.tus.iter().filter_map(|s| s.dpath.attr.as_deref()),
-        ))
+        let ledgers: Vec<_> = self
+            .tus
+            .iter()
+            .filter_map(|s| s.dpath.obs.as_ref()?.ledger.as_ref())
+            .collect();
+        (!ledgers.is_empty()).then(|| AttributionReport::from_probes(ledgers))
     }
 
     /// Direct read of committed memory (tests and examples).
@@ -1107,17 +1093,7 @@ impl CoreEnv for TuEnv<'_> {
             }
         }
 
-        if let Some(tap) = self.shared.tap.as_ref() {
-            tap.borrow_mut().record(AccessRecord {
-                cycle: now.0,
-                tu: self.tu as u32,
-                pc,
-                addr: addr.0,
-                kind,
-            });
-        }
-        self.dpath.attr_note_pc(pc);
-        match self.dpath.access(addr, kind, now, &mut self.shared.l2) {
+        match self.dpath.access(addr, kind, pc, now, &mut self.shared.l2) {
             DpResult::Done { ready_at } => {
                 if let Some(tel) = self.shared.tel.as_deref_mut() {
                     tel.on_load(self.tu as u32, now.0, addr.0, kind, ready_at.0);
@@ -1129,19 +1105,13 @@ impl CoreEnv for TuEnv<'_> {
     }
 
     fn ifetch(&mut self, addr: Addr, now: Cycle) -> MemIssue {
-        if let Some(tap) = self.shared.tap.as_ref() {
-            tap.borrow_mut().record(AccessRecord {
-                cycle: now.0,
-                tu: self.tu as u32,
-                pc: addr.0 as u32,
-                addr: addr.0,
-                kind: AccessKind::InstFetch,
-            });
-        }
-        match self
-            .icache
-            .access(addr, AccessKind::InstFetch, now, &mut self.shared.l2)
-        {
+        match self.icache.access(
+            addr,
+            AccessKind::InstFetch,
+            addr.0 as u32,
+            now,
+            &mut self.shared.l2,
+        ) {
             DpResult::Done { ready_at } => MemIssue::Done { ready_at, value: 0 },
             DpResult::Retry => MemIssue::Retry,
         }

@@ -5,12 +5,14 @@
 //!
 //! The machine owns at most one [`MachineTelemetry`] (boxed, `None` when
 //! telemetry is off so the per-cycle hook is a single predictable branch).
-//! Once per cycle it drains each data path's [`CacheTrace`], each core's
-//! `FlushTrace`, the shared L2's trace and the scheduler event log, then
-//! samples counters every `sample_interval` cycles.  `finalize` closes the
-//! Perfetto spans, writes the artifact files, and returns the
-//! [`TelemetrySummary`] attached to the run result.
+//! Once per cycle it drains each L1 data path's telemetry buffer (the
+//! [`DpObserver`] consumer that keeps the events `events.jsonl` renders),
+//! each core's `FlushTrace`, the shared L2's [`CacheTrace`] and the
+//! scheduler event log, then samples counters every `sample_interval`
+//! cycles.  `finalize` closes the Perfetto spans, writes the artifact
+//! files, and returns the [`TelemetrySummary`] attached to the run result.
 //!
+//! [`DpObserver`]: crate::dpath::DpObserver
 //! [`CacheTrace`]: wec_telemetry::CacheTrace
 //! [`TelemetrySummary`]: wec_telemetry::TelemetrySummary
 
@@ -19,12 +21,14 @@ use std::path::PathBuf;
 
 use wec_common::error::{SimError, SimResult};
 use wec_mem::stats::AccessKind;
+use wec_telemetry::attr::FillOrigin;
 use wec_telemetry::profile::{Phase, ProfileReport};
 use wec_telemetry::{
     CacheEvent, EventSink, FlushRec, HistSummary, Log2Histogram, PerfettoTrace, TelemetryConfig,
     TelemetrySummary, TimeSeries, TraceEvent,
 };
 
+use crate::dpath::DpEvent;
 use crate::events::SchedEvent;
 
 /// Columns of the interval time-series.  Every column except the three
@@ -127,17 +131,19 @@ impl MachineTelemetry {
         }
     }
 
-    /// One drained L1 data-path event, tagged with its TU.
-    pub fn on_l1(&mut self, tu: u32, cycle: u64, ev: CacheEvent, addr: u64) {
+    /// One drained L1 data-path event (block address), tagged with its TU.
+    /// Side fills render by origin; the buffer never holds accesses,
+    /// demand lookups or side evictions.
+    pub fn on_l1(&mut self, tu: u32, cycle: u64, ev: DpEvent, addr: u64) {
         let te = match ev {
-            CacheEvent::WecFill => {
+            DpEvent::SideFill(FillOrigin::Wrong) => {
                 self.wec_fill_at[tu as usize].insert(addr, cycle);
                 if self.cfg.trace_events {
                     self.perfetto.instant(tu, cycle, "wec_fill");
                 }
                 TraceEvent::WecFill { tu, addr }
             }
-            CacheEvent::SideHit {
+            DpEvent::SideHit {
                 wrong_fetched,
                 prefetched,
             } => {
@@ -154,18 +160,18 @@ impl MachineTelemetry {
                     prefetched,
                 }
             }
-            CacheEvent::VictimTransfer => TraceEvent::VictimTransfer { tu, addr },
-            CacheEvent::NextLinePrefetch => TraceEvent::NextLinePrefetch { tu, addr },
-            CacheEvent::MissToNext { wrong } => TraceEvent::L1Miss { tu, addr, wrong },
+            DpEvent::SideFill(FillOrigin::Victim) => TraceEvent::VictimTransfer { tu, addr },
+            DpEvent::SideFill(FillOrigin::Prefetch) => TraceEvent::NextLinePrefetch { tu, addr },
+            DpEvent::MissToNext { wrong } => TraceEvent::L1Miss { tu, addr, wrong },
+            DpEvent::Access { .. } | DpEvent::Demand { .. } | DpEvent::SideEvict => return,
         };
         self.emit(cycle, &te);
     }
 
     /// One drained shared-L2 event (no TU attribution).
     pub fn on_l2(&mut self, cycle: u64, ev: CacheEvent, addr: u64) {
-        if let CacheEvent::MissToNext { wrong } = ev {
-            self.emit(cycle, &TraceEvent::L2Miss { addr, wrong });
-        }
+        let CacheEvent::MissToNext { wrong } = ev;
+        self.emit(cycle, &TraceEvent::L2Miss { addr, wrong });
     }
 
     /// One drained pipeline flush from a core's branch-recovery path.

@@ -50,7 +50,8 @@ pub trait CoreEnv {
     /// Issue a data load.  `wrong_path` marks loads issued by the wrong-path
     /// engine after branch resolution; the environment itself knows whether
     /// the whole *thread* is wrong.  `pc` is the program counter of the
-    /// issuing instruction (access taps record it alongside the address).
+    /// issuing instruction (the data path's observers — trace capture and
+    /// the attribution ledger — read it alongside the address).
     /// The returned value reflects committed memory plus any thread-level
     /// forwarding.
     fn load(&mut self, addr: Addr, bytes: u64, now: Cycle, wrong_path: bool, pc: u32) -> MemIssue;

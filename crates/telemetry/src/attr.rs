@@ -23,9 +23,12 @@
 //! produce byte-identical artifacts.
 //!
 //! Like the other instruments in this crate, the probe is a leaf: raw
-//! `u64`/`u32` in, JSON out, no dependency on the simulator crates.  The
-//! data path holds it as `Option<Box<AttrProbe>>` — one `is_some` branch
-//! per hook when attribution is off, in the `PhaseSink` zero-cost style.
+//! `u64`/`u32` in, JSON out, no dependency on the simulator crates.  It is
+//! one consumer of the L1 data path's event stream (the `ledger` field of
+//! `wec-core`'s `DpObserver`): the access event announces the PC, and the
+//! demand, side-hit, side-fill and side-evict events drive the methods
+//! below.  With nothing observing, the data path pays one `is_some`
+//! branch per event site.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

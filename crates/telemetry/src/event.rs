@@ -1,11 +1,12 @@
 //! Typed trace events and the per-component gated buffers that feed them.
 //!
-//! Hot simulator components (the L1 data path, the shared L2, the core's
-//! recovery path) do not know their thread-unit id and must not pay for
-//! telemetry when it is off.  They own a [`CacheTrace`] / [`FlushTrace`]
-//! whose `push` is one predictable branch when disabled; the machine drains
-//! the buffers once per cycle, tags TU ids, and turns them into full
-//! [`TraceEvent`]s for the sink.
+//! Hot simulator components (the shared L2, the core's recovery path) do
+//! not know their thread-unit id and must not pay for telemetry when it is
+//! off.  They own a [`CacheTrace`] / [`FlushTrace`] whose `push` is one
+//! predictable branch when disabled; the machine drains the buffers once
+//! per cycle, tags TU ids, and turns them into full [`TraceEvent`]s for the
+//! sink.  (The L1 data paths feed the same drain through their observer
+//! slot in `wec-core`.)
 
 use std::fmt::Write as _;
 
@@ -198,22 +199,10 @@ impl TraceEvent {
     }
 }
 
-/// A cache-side event, recorded without TU attribution (the data path does
-/// not know which TU it belongs to; the machine tags it at drain time).
+/// A shared-L2 event, recorded without TU attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheEvent {
-    /// Wrong-execution fill into the side structure (the WEC rule).
-    WecFill,
-    /// Correct-path L1 miss served by the side structure.
-    SideHit {
-        wrong_fetched: bool,
-        prefetched: bool,
-    },
-    /// L1 victim parked in the side structure.
-    VictimTransfer,
-    /// Next-line prefetch issued into the side structure.
-    NextLinePrefetch,
-    /// Miss to the next level (`wrong` = wrong-execution access).
+    /// Miss to main memory (`wrong` = wrong-execution access).
     MissToNext { wrong: bool },
 }
 
@@ -317,7 +306,7 @@ mod tests {
     #[test]
     fn disabled_traces_record_nothing() {
         let mut t = CacheTrace::default();
-        t.push(1, CacheEvent::WecFill, 0x40);
+        t.push(1, CacheEvent::MissToNext { wrong: true }, 0x40);
         assert!(t.is_empty());
         let mut f = FlushTrace::default();
         f.push(FlushRec {
@@ -333,15 +322,8 @@ mod tests {
     fn enabled_traces_drain_in_order() {
         let mut t = CacheTrace::default();
         t.set_enabled(true);
-        t.push(1, CacheEvent::WecFill, 0x40);
-        t.push(
-            2,
-            CacheEvent::SideHit {
-                wrong_fetched: true,
-                prefetched: false,
-            },
-            0x40,
-        );
+        t.push(1, CacheEvent::MissToNext { wrong: true }, 0x40);
+        t.push(2, CacheEvent::MissToNext { wrong: false }, 0x40);
         let got: Vec<_> = t.drain().collect();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, 1);

@@ -617,8 +617,12 @@ pub fn validate_profile_json(text: &str) -> Result<Vec<String>, String> {
 pub struct AttributionCheck {
     pub n_tus: u64,
     pub wec_fills: u64,
+    pub fills_wrong: u64,
+    pub fills_victim: u64,
+    pub fills_prefetch: u64,
     pub useful: u64,
     pub wasted: u64,
+    pub victim_rescued: u64,
     pub top_pcs: u64,
 }
 
@@ -864,8 +868,12 @@ pub fn validate_attribution_json(text: &str) -> Result<AttributionCheck, String>
     Ok(AttributionCheck {
         n_tus,
         wec_fills: global[0],
+        fills_wrong: global[1],
+        fills_victim: global[2],
+        fills_prefetch: global[3],
         useful,
         wasted: global[5],
+        victim_rescued: global[6],
         top_pcs: top.len() as u64,
     })
 }

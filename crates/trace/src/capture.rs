@@ -1,11 +1,23 @@
 //! Capture: record a full-timing run's admitted access stream.
+//!
+//! The recorder is one consumer of the L1 data paths' event stream: it
+//! reads [`DpEvent::Access`], which every [`DataPath::access`] call emits
+//! before its port check, so attempts that come back `Retry` are recorded
+//! as often as they are presented.  Each thread unit gets one
+//! [`StreamEncoder`], attached to both its L1D and its L1I, which encodes
+//! records straight into the TU's stream — no intermediate record buffer,
+//! so capture memory stays proportional to the *compressed* trace size.
+//!
+//! [`DpEvent::Access`]: wec_core::dpath::DpEvent::Access
+//! [`DataPath::access`]: wec_core::DataPath::access
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use wec_core::dpath::AccessRecorder;
 use wec_core::machine::{Machine, RunResult};
-use wec_core::tap::{AccessRecord, AccessSink};
 use wec_core::MachineConfig;
+use wec_mem::stats::AccessKind;
 use wec_workloads::Workload;
 
 use crate::format::{Trace, TraceHeader, FORMAT_VERSION};
@@ -13,57 +25,19 @@ use crate::record::{TraceKind, TraceRecord};
 use crate::stream::StreamEncoder;
 use crate::TraceError;
 
-/// An [`AccessSink`] that encodes records straight into per-TU streams —
-/// no intermediate record buffer, so capture memory stays proportional to
-/// the *compressed* trace size.
-pub struct TraceRecorder {
-    encoders: Vec<StreamEncoder>,
-}
-
-impl TraceRecorder {
-    pub fn new(n_tus: usize) -> Self {
-        TraceRecorder {
-            encoders: (0..n_tus).map(|_| StreamEncoder::new()).collect(),
-        }
-    }
-
-    pub fn records(&self) -> u64 {
-        self.encoders.iter().map(StreamEncoder::records).sum()
-    }
-
-    /// Seal the streams into a [`Trace`] with the given capture identity.
-    pub fn finish(self, meta: &CaptureMeta) -> Trace {
-        let streams: Vec<_> = self
-            .encoders
-            .into_iter()
-            .map(StreamEncoder::finish)
-            .collect();
-        let total_records = streams.iter().map(|s| s.records).sum();
-        Trace {
-            header: TraceHeader {
-                format_version: FORMAT_VERSION,
-                sim_revision: wec_core::SIM_REVISION,
-                n_tus: streams.len() as u32,
-                scale_units: meta.scale_units,
-                bench: meta.bench.clone(),
-                cfg_label: meta.cfg_label.clone(),
-                total_records,
-            },
-            streams,
-        }
-    }
-}
-
-impl AccessSink for TraceRecorder {
-    fn record(&mut self, rec: AccessRecord) {
-        let kind = TraceKind::from_access(rec.kind).expect("machine taps never present prefetches");
-        self.encoders[rec.tu as usize].push(&TraceRecord {
-            cycle: rec.cycle,
-            tu: rec.tu,
-            pc: rec.pc,
-            addr: rec.addr,
+impl AccessRecorder for StreamEncoder {
+    fn record(&mut self, cycle: u64, pc: u32, addr: u64, kind: AccessKind) {
+        let squashed = kind.is_wrong();
+        let kind = TraceKind::from_access(kind).expect("data paths are never presented prefetches");
+        self.push(&TraceRecord {
+            cycle,
+            // Implicit in the stream: neither the encoding nor the content
+            // checksum reads it.
+            tu: 0,
+            pc,
+            addr,
             kind,
-            squashed: rec.kind.is_wrong(),
+            squashed,
         });
     }
 }
@@ -88,10 +62,16 @@ pub fn capture_run(
     cfg: MachineConfig,
     meta: &CaptureMeta,
 ) -> Result<(RunResult, Trace), TraceError> {
-    let n_tus = cfg.n_tus;
     let mut m = Machine::new(cfg, &w.program)?;
-    let recorder = Rc::new(RefCell::new(TraceRecorder::new(n_tus)));
-    m.attach_access_sink(recorder.clone());
+    let encoders: Vec<Rc<RefCell<StreamEncoder>>> = m
+        .data_paths_mut()
+        .map(|(l1d, l1i)| {
+            let enc = Rc::new(RefCell::new(StreamEncoder::new()));
+            l1d.observe().recorder = Some(enc.clone());
+            l1i.observe().recorder = Some(enc.clone());
+            enc
+        })
+        .collect();
     let result = m.run()?;
     let got = m.memory().read_u64(w.check_addr)?;
     if got != w.expected_check {
@@ -101,8 +81,26 @@ pub fn capture_run(
         ))));
     }
     drop(m);
-    let recorder = Rc::try_unwrap(recorder)
-        .map_err(|_| TraceError::Corrupt("recorder still shared after run".into()))?
-        .into_inner();
-    Ok((result, recorder.finish(meta)))
+    let streams = encoders
+        .into_iter()
+        .map(|enc| {
+            Rc::try_unwrap(enc)
+                .map(|enc| enc.into_inner().finish())
+                .map_err(|_| TraceError::Corrupt("recorder still shared after run".into()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let total_records = streams.iter().map(|s| s.records).sum();
+    let trace = Trace {
+        header: TraceHeader {
+            format_version: FORMAT_VERSION,
+            sim_revision: wec_core::SIM_REVISION,
+            n_tus: streams.len() as u32,
+            scale_units: meta.scale_units,
+            bench: meta.bench.clone(),
+            cfg_label: meta.cfg_label.clone(),
+            total_records,
+        },
+        streams,
+    };
+    Ok((result, trace))
 }

@@ -12,12 +12,14 @@
 //!
 //! This crate therefore has two halves:
 //!
-//! * **Capture** ([`capture`]): a [`TraceRecorder`] attached to a
-//!   [`wec_core::Machine`] through the `tap` hook records every admitted
-//!   access — cycle, thread unit, PC, address, kind (correct-path
-//!   load/store, wrong-path load, wrong-thread load, instruction fetch)
-//!   and commit/squash outcome — into per-TU delta/varint encoded streams
-//!   ([`stream`]) inside a versioned, checksummed container ([`format`]).
+//! * **Capture** ([`capture`]): [`capture_run`] attaches one recorder per
+//!   thread unit to that TU's L1D and L1I, as a consumer of the data
+//!   paths' event stream ([`wec_core::dpath::DpEvent`]).  It reads the
+//!   access events only, and records every admitted access — cycle,
+//!   thread unit, PC, address, kind (correct-path load/store, wrong-path
+//!   load, wrong-thread load, instruction fetch) and commit/squash
+//!   outcome — into per-TU delta/varint encoded streams ([`stream`])
+//!   inside a versioned, checksummed container ([`format`](mod@format)).
 //! * **Replay** ([`replay`]): re-drives fresh L1/WEC/L2 structures from a
 //!   trace, merging the per-TU streams back into the machine's global
 //!   access order.  At the captured configuration the replayed cache
@@ -40,7 +42,7 @@ pub mod replay;
 pub mod slab;
 pub mod stream;
 
-pub use capture::{capture_run, CaptureMeta, TraceRecorder};
+pub use capture::{capture_run, CaptureMeta};
 pub use format::{Trace, TraceHeader, FORMAT_VERSION};
 pub use record::{TraceKind, TraceRecord};
 pub use replay::{

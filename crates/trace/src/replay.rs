@@ -3,12 +3,14 @@
 //! Builds fresh per-TU L1 data/instruction paths (with whatever WEC /
 //! victim / next-line-prefetch side structure the target configuration
 //! selects) and a fresh shared L2, then presents the merged record stream
-//! through [`DataPath::access`] in the machine's global order.  Nothing
-//! else is needed: prefetch issue, victim/WEC transfers, dirty
-//! writebacks, MSHR merging, and L2/DRAM timing are all regenerated
-//! inside the data paths from the call sequence, so at the captured
-//! configuration every cache counter comes out identical to the
-//! full-timing run.
+//! through [`DataPath::access`] in the machine's global order, with each
+//! record's PC.  Nothing else is needed: prefetch issue, victim/WEC
+//! transfers, dirty writebacks, MSHR merging, and L2/DRAM timing are all
+//! regenerated inside the data paths from the call sequence, so at the
+//! captured configuration every cache counter comes out identical to the
+//! full-timing run.  The data paths emit the same event stream as in full
+//! timing, so an attribution ledger attached to each L1D (exactly as the
+//! machine attaches it) sees the same events and yields the same report.
 
 use wec_common::ids::{Addr, Cycle};
 use wec_common::stats::StatSet;
@@ -18,7 +20,6 @@ use wec_mem::stats::AccessKind;
 use wec_telemetry::attr::AttributionReport;
 
 use crate::format::Trace;
-use crate::record::TraceKind;
 use crate::slab::TraceSlab;
 use crate::TraceError;
 
@@ -35,60 +36,95 @@ pub struct ReplayOutcome {
     pub attribution: Option<AttributionReport>,
 }
 
+/// The replayed cache hierarchy: per-TU L1D/L1I paths and one shared L2.
+struct Hierarchy {
+    l1d: Vec<DataPath>,
+    l1i: Vec<DataPath>,
+    l2: SharedL2,
+}
+
+impl Hierarchy {
+    /// Fresh structures at `cfg`'s cache geometry for a capture of `n_tus`
+    /// thread units, with a ledger on every L1D when `attribution` is set
+    /// (instruction fetch carries no speculation, as in the machine).
+    fn new(n_tus: u32, cfg: &MachineConfig, attribution: bool) -> Result<Self, TraceError> {
+        let n_tus = n_tus as usize;
+        if cfg.n_tus != n_tus {
+            return Err(TraceError::Corrupt(format!(
+                "trace captured {n_tus} TUs but replay config has {}",
+                cfg.n_tus
+            )));
+        }
+        let mut l1d = Vec::with_capacity(n_tus);
+        let mut l1i = Vec::with_capacity(n_tus);
+        for _ in 0..n_tus {
+            let mut dp = DataPath::new(cfg.l1d)?;
+            if attribution {
+                let ledger = dp.new_ledger();
+                dp.observe().ledger = Some(ledger);
+            }
+            l1d.push(dp);
+            l1i.push(DataPath::new(cfg.l1i)?);
+        }
+        let l2 = SharedL2::new(cfg.l2)?;
+        Ok(Hierarchy { l1d, l1i, l2 })
+    }
+
+    /// Present one record.  The result is deliberately ignored: Retry
+    /// outcomes were re-presented (and re-recorded) by the capturing run,
+    /// so the stream already contains every attempt.
+    #[inline]
+    fn access(&mut self, tu: usize, kind: AccessKind, pc: u32, addr: u64, cycle: u64) {
+        let dp = if kind == AccessKind::InstFetch {
+            &mut self.l1i[tu]
+        } else {
+            &mut self.l1d[tu]
+        };
+        let _ = dp.access(Addr(addr), kind, pc, Cycle(cycle), &mut self.l2);
+    }
+
+    fn finish(self, records: u64) -> ReplayOutcome {
+        let mut stats = StatSet::new();
+        for (i, (d, f)) in self.l1d.iter().zip(&self.l1i).enumerate() {
+            d.stats.dump(&mut stats, &format!("tu{i}.l1d"));
+            f.stats.dump(&mut stats, &format!("tu{i}.l1i"));
+        }
+        self.l2.stats.dump(&mut stats, "l2");
+        let ledgers: Vec<_> = self
+            .l1d
+            .iter()
+            .filter_map(|dp| dp.obs.as_ref()?.ledger.as_ref())
+            .collect();
+        ReplayOutcome {
+            records,
+            stats,
+            attribution: (!ledgers.is_empty()).then(|| AttributionReport::from_probes(ledgers)),
+        }
+    }
+}
+
 /// Replay `trace` against the cache geometry of `cfg` (core/scheduler
 /// fields of `cfg` are ignored — only `l1d`, `l1i`, `l2`, `n_tus`
 /// matter).  `cfg.n_tus` must match the captured TU count.
+///
+/// This decodes and merges the streams as it goes; production paths
+/// replay a [`TraceSlab`] instead, and this streaming form is the
+/// reference the slab replay is checked against.
 pub fn replay(trace: &Trace, cfg: &MachineConfig) -> Result<ReplayOutcome, TraceError> {
-    let n_tus = trace.header.n_tus as usize;
-    if cfg.n_tus != n_tus {
-        return Err(TraceError::Corrupt(format!(
-            "trace captured {n_tus} TUs but replay config has {}",
-            cfg.n_tus
-        )));
-    }
-    let mut l1d = Vec::with_capacity(n_tus);
-    let mut l1i = Vec::with_capacity(n_tus);
-    for _ in 0..n_tus {
-        l1d.push(DataPath::new(cfg.l1d)?);
-        l1i.push(DataPath::new(cfg.l1i)?);
-    }
-    let mut l2 = SharedL2::new(cfg.l2)?;
+    let mut h = Hierarchy::new(trace.header.n_tus, cfg, false)?;
     let mut records = 0u64;
     for rec in trace.merged()? {
         let rec = rec?;
         let tu = rec.tu as usize;
-        if tu >= n_tus {
+        if tu >= h.l1d.len() {
             return Err(TraceError::Corrupt(format!(
                 "record for TU {tu} out of range"
             )));
         }
-        let dp = if rec.kind == TraceKind::InstFetch {
-            &mut l1i[tu]
-        } else {
-            &mut l1d[tu]
-        };
-        // The result is deliberately ignored: Retry outcomes were re-
-        // presented (and re-recorded) by the capturing run, so the stream
-        // already contains every attempt.
-        let _ = dp.access(
-            Addr(rec.addr),
-            rec.kind.access_kind(),
-            Cycle(rec.cycle),
-            &mut l2,
-        );
+        h.access(tu, rec.kind.access_kind(), rec.pc, rec.addr, rec.cycle);
         records += 1;
     }
-    let mut stats = StatSet::new();
-    for i in 0..n_tus {
-        l1d[i].stats.dump(&mut stats, &format!("tu{i}.l1d"));
-        l1i[i].stats.dump(&mut stats, &format!("tu{i}.l1i"));
-    }
-    l2.stats.dump(&mut stats, "l2");
-    Ok(ReplayOutcome {
-        records,
-        stats,
-        attribution: None,
-    })
+    Ok(h.finish(records))
 }
 
 /// Records per batch in the slab replay loop.  Batching keeps the hot
@@ -109,35 +145,18 @@ pub fn replay_slab(slab: &TraceSlab, cfg: &MachineConfig) -> Result<ReplayOutcom
     replay_slab_with(slab, cfg, false)
 }
 
-/// [`replay_slab`] with an optional speculation attribution ledger riding
-/// on the L1D paths (instruction fetch carries no speculation, exactly as
-/// in the full-timing machine).  The attribution probes observe the same
-/// access stream, PCs, and cycles the timing run saw, so at the captured
-/// configuration the resulting report is byte-identical to full timing —
-/// and the cache counters are byte-identical either way.
+/// [`replay_slab`] with an optional speculation attribution ledger on
+/// each L1D path.  The ledgers observe the same access stream, PCs, and
+/// cycles the timing run saw, so at the captured configuration the
+/// resulting report is byte-identical to full timing — and the cache
+/// counters are byte-identical either way.
 pub fn replay_slab_with(
     slab: &TraceSlab,
     cfg: &MachineConfig,
     attribution: bool,
 ) -> Result<ReplayOutcome, TraceError> {
-    let n_tus = slab.header().n_tus as usize;
-    if cfg.n_tus != n_tus {
-        return Err(TraceError::Corrupt(format!(
-            "trace captured {n_tus} TUs but replay config has {}",
-            cfg.n_tus
-        )));
-    }
-    let mut l1d = Vec::with_capacity(n_tus);
-    let mut l1i = Vec::with_capacity(n_tus);
-    for _ in 0..n_tus {
-        let mut dp = DataPath::new(cfg.l1d)?;
-        if attribution {
-            dp.enable_attribution();
-        }
-        l1d.push(dp);
-        l1i.push(DataPath::new(cfg.l1i)?);
-    }
-    let mut l2 = SharedL2::new(cfg.l2)?;
+    let n_tus = slab.header().n_tus;
+    let mut h = Hierarchy::new(n_tus, cfg, attribution)?;
 
     let m = slab.merged();
     let mut akinds: Vec<AccessKind> = Vec::with_capacity(REPLAY_BATCH);
@@ -145,51 +164,29 @@ pub fn replay_slab_with(
     while start < m.len() {
         let end = usize::min(start + REPLAY_BATCH, m.len());
         let tus = &m.tus[start..end];
-        let kinds = &m.kinds[start..end];
         let cycles = &m.cycles[start..end];
         let addrs = &m.addrs[start..end];
+        let pcs = &m.pcs[start..end];
 
         // Precompute pass over the contiguous arrays: bounds-check TU
         // routing and resolve access kinds for the whole batch.
-        if let Some(&bad) = tus.iter().find(|&&tu| tu as usize >= n_tus) {
+        if let Some(&bad) = tus.iter().find(|&&tu| tu as u32 >= n_tus) {
             return Err(TraceError::Corrupt(format!(
                 "record for TU {bad} out of range"
             )));
         }
         akinds.clear();
-        akinds.extend(kinds.iter().map(|k| k.access_kind()));
+        akinds.extend(m.kinds[start..end].iter().map(|k| k.access_kind()));
 
-        // Probe pass.  As in `replay`, results are ignored: Retry
-        // outcomes were re-presented by the capturing run.
-        let pcs = &m.pcs[start..end];
-        for i in 0..tus.len() {
-            let tu = tus[i] as usize;
-            let dp = if kinds[i] == TraceKind::InstFetch {
-                &mut l1i[tu]
-            } else {
-                &mut l1d[tu]
-            };
-            if attribution {
-                dp.attr_note_pc(pcs[i]);
-            }
-            let _ = dp.access(Addr(addrs[i]), akinds[i], Cycle(cycles[i]), &mut l2);
+        // Probe pass.
+        for ((((&tu, &kind), &pc), &addr), &cycle) in
+            tus.iter().zip(&akinds).zip(pcs).zip(addrs).zip(cycles)
+        {
+            h.access(tu as usize, kind, pc, addr, cycle);
         }
         start = end;
     }
-
-    let mut stats = StatSet::new();
-    for i in 0..n_tus {
-        l1d[i].stats.dump(&mut stats, &format!("tu{i}.l1d"));
-        l1i[i].stats.dump(&mut stats, &format!("tu{i}.l1i"));
-    }
-    l2.stats.dump(&mut stats, "l2");
-    let attribution = attribution
-        .then(|| AttributionReport::from_probes(l1d.iter().filter_map(|dp| dp.attr.as_deref())));
-    Ok(ReplayOutcome {
-        records: m.len() as u64,
-        stats,
-        attribution,
-    })
+    Ok(h.finish(m.len() as u64))
 }
 
 /// Extract the cache-counter subset of a full-timing run's stats — the

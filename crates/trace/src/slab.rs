@@ -16,8 +16,8 @@
 //! * the per-TU streams are merged **once** into the machine's global
 //!   access order and stored as a structure-of-arrays ([`MergedOrder`]):
 //!   contiguous `cycles`/`addrs`/`tus`/`kinds`/`pcs` arrays that the
-//!   batched replay loop streams through (`pcs` is only read when the
-//!   attribution ledger is on; the `squashed` field stays unused).
+//!   batched replay loop streams through (the `squashed` field stays
+//!   unused).
 //!
 //! The slab is immutable after construction and `Sync`, so one slab is
 //! shared by every worker of a parallel sweep; each worker owns only its
@@ -38,8 +38,8 @@ pub struct MergedOrder {
     pub tus: Vec<u16>,
     pub kinds: Vec<TraceKind>,
     /// Issuing PC per access (0 for stores, the fetch address for ifetches
-    /// — the capture-side convention).  Only the attribution ledger reads
-    /// this array.
+    /// — the capture-side convention).  Replay presents it with every
+    /// access; only the data paths' observers read it.
     pub pcs: Vec<u32>,
 }
 

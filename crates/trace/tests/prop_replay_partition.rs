@@ -39,7 +39,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         })
 }
 
-/// Materialize steps into tap-shaped records: non-decreasing cycles,
+/// Materialize steps into capture-shaped records: non-decreasing cycles,
 /// per-kind address chains, and the store-drains-last phase invariant.
 fn build_records(steps: &[Step], tu: u32) -> Vec<TraceRecord> {
     let mut cycle = 0u64;

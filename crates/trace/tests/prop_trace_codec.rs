@@ -36,7 +36,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 /// Materialize steps into records with non-decreasing cycles and per-kind
-/// address chains — the same shape a machine tap produces.  The machine's
+/// address chains — the same shape a machine capture produces.  The machine's
 /// phase invariant is enforced: within one cycle a store (drained after
 /// all TU ticks) can never precede a load/fetch in the same stream, so a
 /// phase regression at an unchanged cycle advances the cycle instead.

@@ -16,6 +16,15 @@
 //! Table 3's 1- to 16-issue cores with 8- to 128-entry ROBs) on two
 //! benchmarks.
 //!
+//! A third net pins what the data path's observers see, which no cache
+//! counter reads: a `capture_run` with the attribution ledger on, per
+//! benchmark under `wth-wp-wec`, `wth-wp-vc` and `nlp` (the WEC, the
+//! victim cache and the prefetch buffer take different fill paths).  The
+//! `.wectrace` bytes (record count and FNV-1a digest) and the
+//! `attribution.json` text must match `tests/goldens/capture/` exactly, so
+//! a wrong PC or a lost access moves a golden even when full timing and
+//! replay move together.
+//!
 //! To re-record after an *intentional* model change:
 //!
 //! ```text
@@ -30,6 +39,8 @@ use wec_bench::CfgKey;
 use wec_common::stats::StatSet;
 use wec_core::config::{MachineConfig, ProcPreset};
 use wec_core::metrics::MachineMetrics;
+use wec_trace::codec::fnv1a;
+use wec_trace::{capture_run, CaptureMeta};
 use wec_workloads::{run_and_verify, Bench, Scale};
 
 const PRESETS: [ProcPreset; 3] = [ProcPreset::Orig, ProcPreset::Wp, ProcPreset::WthWpWec];
@@ -238,4 +249,98 @@ fn stats_goldens_cover_every_point() {
         let path = stats_path(bench, &label);
         assert!(path.is_file(), "golden missing: {}", path.display());
     }
+}
+
+/// The capture-pin points: every benchmark under the three side
+/// structures (WEC, victim cache, prefetch buffer).
+const CAPTURE_PRESETS: [ProcPreset; 3] =
+    [ProcPreset::WthWpWec, ProcPreset::WthWpVc, ProcPreset::Nlp];
+
+fn capture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("goldens/capture")
+}
+
+/// One capture with the ledger on: the trace's record count and byte
+/// digest as a `name value` listing, and the attribution document.
+fn capture_point(bench: Bench, preset: ProcPreset) -> (String, String) {
+    let w = bench.build(Scale::SMOKE);
+    let mut cfg = preset.machine(N_TUS);
+    cfg.attribution = true;
+    let meta = CaptureMeta {
+        bench: w.name.to_string(),
+        scale_units: Scale::SMOKE.units,
+        cfg_label: format!("{}/t{N_TUS}", preset.name()),
+    };
+    let (result, trace) = capture_run(&w, cfg, &meta)
+        .unwrap_or_else(|e| panic!("{} under {}: {e}", w.name, preset.name()));
+    let bytes = trace.to_bytes();
+    let kv = format!(
+        "records {}\nbytes {}\nfnv1a {:#018x}\n",
+        trace.header.total_records,
+        bytes.len(),
+        fnv1a(&bytes)
+    );
+    let ledger = result
+        .attribution
+        .unwrap_or_else(|| panic!("{} under {}: no ledger", w.name, preset.name()))
+        .to_json();
+    (kv, ledger + "\n")
+}
+
+#[test]
+fn capture_bytes_and_ledgers_match_recorded_goldens() {
+    let bless = std::env::var_os("WEC_BLESS").is_some();
+    if bless {
+        std::fs::create_dir_all(capture_dir()).unwrap();
+    }
+    let points: Vec<(Bench, ProcPreset)> = Bench::ALL
+        .iter()
+        .flat_map(|&b| CAPTURE_PRESETS.iter().map(move |&p| (b, p)))
+        .collect();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    let results: Vec<(String, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = points
+            .chunks(points.len().div_ceil(workers))
+            .map(|part| {
+                s.spawn(move || {
+                    part.iter()
+                        .map(|&(b, p)| capture_point(b, p))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    let mut failures = Vec::new();
+    for (&(bench, preset), (kv, ledger)) in points.iter().zip(results) {
+        let stem = format!("{}__{}", bench.name(), preset.name());
+        for (file, got) in [
+            (format!("{stem}.trace.kv"), kv),
+            (format!("{stem}.attribution.json"), ledger),
+        ] {
+            let path = capture_dir().join(&file);
+            if bless {
+                std::fs::write(&path, got).unwrap();
+                continue;
+            }
+            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!(
+                    "missing golden {} ({e}); record it with WEC_BLESS=1",
+                    path.display()
+                )
+            });
+            if got != want {
+                failures.push(format!("{file}:\n{}", kv_diff(&got, &want)));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "captures or ledgers diverged from goldens:\n{}",
+        failures.join("\n")
+    );
 }

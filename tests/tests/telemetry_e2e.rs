@@ -8,8 +8,8 @@ use wec_core::MachineConfig;
 use wec_telemetry::{schema, TelemetryConfig};
 use wec_workloads::{run_and_verify, Bench, Scale};
 
-fn traced_cfg(out_dir: Option<PathBuf>) -> MachineConfig {
-    let mut cfg = ProcPreset::WthWpWec.machine(8);
+fn traced_cfg(preset: ProcPreset, out_dir: Option<PathBuf>) -> MachineConfig {
+    let mut cfg = preset.machine(8);
     cfg.telemetry = TelemetryConfig {
         trace_events: true,
         sample_interval: 500,
@@ -26,7 +26,7 @@ fn traced_cfg(out_dir: Option<PathBuf>) -> MachineConfig {
 fn telemetry_does_not_perturb_the_simulation() {
     let w = Bench::Mcf.build(Scale::SMOKE);
     let off = run_and_verify(&w, ProcPreset::WthWpWec.machine(8)).unwrap();
-    let on = run_and_verify(&w, traced_cfg(None)).unwrap();
+    let on = run_and_verify(&w, traced_cfg(ProcPreset::WthWpWec, None)).unwrap();
 
     assert_eq!(off.cycles, on.cycles);
     assert_eq!(off.checksum, on.checksum);
@@ -48,59 +48,88 @@ fn telemetry_does_not_perturb_the_simulation() {
     );
 }
 
-/// A traced run's artifacts parse under the schema validators, and the
-/// event stream contains the kinds the paper's analysis needs.
+/// A traced run's artifacts parse under the schema validators, the event
+/// stream contains the kinds the paper's analysis needs, and its
+/// side-structure events agree with the attribution ledger of the same
+/// run.  Both read the data path's one event stream, so under the WEC and
+/// under the victim cache (which parks victims on three different paths)
+/// every side fill and side hit is counted once on each side.
 #[test]
 fn telemetry_artifacts_validate_against_schemas() {
-    let dir = std::env::temp_dir().join(format!("wec-telemetry-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    for preset in [ProcPreset::WthWpWec, ProcPreset::WthWpVc] {
+        let dir = std::env::temp_dir().join(format!(
+            "wec-telemetry-e2e-{}-{}",
+            preset.name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
 
-    let w = Bench::Mcf.build(Scale::SMOKE);
-    let mut cfg = traced_cfg(Some(dir.clone()));
-    cfg.core.commit_trace = 32;
-    let r = run_and_verify(&w, cfg).unwrap();
-    let tel = r.telemetry.unwrap();
-    assert_eq!(
-        tel.files.len(),
-        5,
-        "events/commits/timeseries/hists/perfetto"
-    );
+        let w = Bench::Mcf.build(Scale::SMOKE);
+        let mut cfg = traced_cfg(preset, Some(dir.clone()));
+        cfg.core.commit_trace = 32;
+        cfg.attribution = true;
+        let r = run_and_verify(&w, cfg).unwrap();
+        let tel = r.telemetry.unwrap();
+        assert_eq!(
+            tel.files.len(),
+            5,
+            "events/commits/timeseries/hists/perfetto"
+        );
 
-    let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
-    let report = schema::validate_events_jsonl(&events).unwrap();
-    assert_eq!(report.total + tel.kind_count("commit"), tel.events_total);
-    for kind in [
-        "wrong_load_issue",
-        "wec_fill",
-        "wec_hit",
-        "l1_miss",
-        "l2_miss",
-    ] {
-        assert!(report.count_of(kind) > 0, "missing {kind} events");
-        assert_eq!(report.count_of(kind), tel.kind_count(kind), "{kind}");
+        let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+        let report = schema::validate_events_jsonl(&events).unwrap();
+        assert_eq!(report.total + tel.kind_count("commit"), tel.events_total);
+        let mut kinds = vec!["wrong_load_issue", "wec_hit", "l1_miss", "l2_miss"];
+        kinds.push(match preset {
+            ProcPreset::WthWpWec => "wec_fill",
+            _ => "victim_transfer",
+        });
+        for kind in kinds {
+            assert!(report.count_of(kind) > 0, "missing {kind} events");
+            assert_eq!(report.count_of(kind), tel.kind_count(kind), "{kind}");
+        }
+
+        let ledger = r.attribution.expect("attribution on but no report").totals;
+        let p = preset.name();
+        assert_eq!(report.count_of("wec_fill"), ledger.fills_wrong, "{p}");
+        assert_eq!(
+            report.count_of("victim_transfer"),
+            ledger.fills_victim,
+            "{p}"
+        );
+        assert_eq!(
+            report.count_of("next_line_prefetch"),
+            ledger.fills_prefetch,
+            "{p}"
+        );
+        assert_eq!(
+            report.count_of("wec_hit"),
+            ledger.useful + ledger.victim_rescued,
+            "{p}"
+        );
+
+        let commits = std::fs::read_to_string(dir.join("commits.jsonl")).unwrap();
+        let creport = schema::validate_events_jsonl(&commits).unwrap();
+        assert_eq!(creport.count_of("commit"), creport.total);
+        assert_eq!(creport.total, tel.kind_count("commit"));
+        assert!(creport.total > 0 && creport.total <= 32 * 8);
+
+        let csv = std::fs::read_to_string(dir.join("timeseries.csv")).unwrap();
+        let rows = schema::validate_timeseries_csv(&csv).unwrap();
+        assert_eq!(rows as u64, tel.samples);
+
+        let hists = std::fs::read_to_string(dir.join("histograms.json")).unwrap();
+        let names = schema::validate_histograms_json(&hists).unwrap();
+        assert_eq!(
+            names,
+            ["load_to_fill", "wec_fill_to_hit", "wrong_thread_lifetime"]
+        );
+
+        let perfetto = std::fs::read_to_string(dir.join("trace.perfetto.json")).unwrap();
+        assert!(schema::validate_perfetto(&perfetto).unwrap() > 0);
+
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    let commits = std::fs::read_to_string(dir.join("commits.jsonl")).unwrap();
-    let creport = schema::validate_events_jsonl(&commits).unwrap();
-    assert_eq!(creport.count_of("commit"), creport.total);
-    assert_eq!(creport.total, tel.kind_count("commit"));
-    assert!(creport.total > 0 && creport.total <= 32 * 8);
-
-    let csv = std::fs::read_to_string(dir.join("timeseries.csv")).unwrap();
-    let rows = schema::validate_timeseries_csv(&csv).unwrap();
-    assert_eq!(rows as u64, tel.samples);
-
-    let hists = std::fs::read_to_string(dir.join("histograms.json")).unwrap();
-    let names = schema::validate_histograms_json(&hists).unwrap();
-    assert_eq!(
-        names,
-        ["load_to_fill", "wec_fill_to_hit", "wrong_thread_lifetime"]
-    );
-
-    let perfetto = std::fs::read_to_string(dir.join("trace.perfetto.json")).unwrap();
-    assert!(schema::validate_perfetto(&perfetto).unwrap() > 0);
-
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Sampling alone (no event trace) writes the time-series and histograms
@@ -173,7 +202,7 @@ fn profiling_attributes_cycle_time_without_perturbing_metrics() {
     assert!(phases.contains(&"exec".to_string()));
 
     // Same run with the event trace on: Perfetto gains prof_* counters.
-    let mut cfg = traced_cfg(Some(dir.clone()));
+    let mut cfg = traced_cfg(ProcPreset::WthWpWec, Some(dir.clone()));
     cfg.telemetry.profile = true;
     let traced = run_and_verify(&w, cfg).unwrap();
     assert_eq!(traced.metrics.to_kv(), off.metrics.to_kv());
