@@ -5,7 +5,7 @@
 //!            [--addr HOST:PORT] [--health-interval-ms N]
 //!            [--dead-after N] [--retries N] [--backoff-ms N]
 //!            [--io-timeout-ms N] [--events-timeout-ms N]
-//!            [--log-dir DIR] [--speculate] [--hint-fanout N]
+//!            [--log-dir DIR]
 //! ```
 //!
 //! Defaults: listen on `127.0.0.1:8410`, probe `/healthz` every 500 ms,
@@ -16,10 +16,9 @@
 //! least one is required; the listed addresses define the rendezvous
 //! ring, so every router fronting the same fleet must list the same
 //! addresses.  With `--log-dir` the router writes `router.json`
-//! (`wec-router-stats-v1`) on drain.  `--speculate` forwards predicted
-//! next jobs as `POST /hints` to the backend owning each prediction's
-//! hash (3 per submit; `--hint-fanout N` tunes the width and implies
-//! `--speculate`).  SIGTERM/SIGINT/`POST /shutdown` drain gracefully.
+//! (`wec-router-stats-v1`) on drain.  Speculation is the backends'
+//! business (`wec_serve --speculate`): the router forwards demand only.
+//! SIGTERM/SIGINT/`POST /shutdown` drain gracefully.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -30,8 +29,6 @@ use wec_serve::daemon::install_signal_handlers;
 fn main() {
     let mut addr = "127.0.0.1:8410".to_string();
     let mut cfg = RouterConfig::default();
-    let mut speculate = false;
-    let mut fanout: Option<usize> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -79,13 +76,6 @@ fn main() {
                 );
             }
             "--log-dir" => cfg.log_dir = Some(PathBuf::from(value("--log-dir"))),
-            "--speculate" => speculate = true,
-            "--hint-fanout" => {
-                let n: usize = value("--hint-fanout").parse().expect("--hint-fanout N");
-                assert!(n > 0, "--hint-fanout must be positive");
-                fanout = Some(n);
-                speculate = true;
-            }
             other => panic!("unknown argument {other:?}"),
         }
     }
@@ -93,26 +83,18 @@ fn main() {
         !cfg.backends.is_empty(),
         "at least one --backend is required"
     );
-    if speculate {
-        cfg.hint_fanout = fanout.unwrap_or(3);
-    }
 
     install_signal_handlers();
     let router =
         Router::bind(&addr, cfg.clone()).unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
     let state = router.state();
     eprintln!(
-        "wec-router listening on {} ({} backends, hints {}, logs {})",
+        "wec-router listening on {} ({} backends, logs {})",
         router
             .local_addr()
             .map(|a| a.to_string())
             .unwrap_or(addr.clone()),
         cfg.backends.len(),
-        if cfg.hint_fanout > 0 {
-            format!("fanout {}", cfg.hint_fanout)
-        } else {
-            "off".to_string()
-        },
         cfg.log_dir
             .as_ref()
             .map(|d| d.display().to_string())

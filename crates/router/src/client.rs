@@ -4,9 +4,10 @@
 //! connection, `Connection: close`, fixed-length request bodies, and
 //! responses read either by `Content-Length`, by chunked
 //! transfer-decoding, or to EOF (legal under close semantics).  Every
-//! read and write is bounded by the caller's timeout, and every parse
-//! failure is an `io::Error` — a misbehaving backend must register as a
-//! health failure, never hang or crash a proxy thread.
+//! read and write is bounded by the caller's timeout, every line and the
+//! header count by the inbound side's limits, and every parse failure is
+//! an `io::Error` — a misbehaving backend must register as a health
+//! failure, never hang or crash a proxy thread.
 //!
 //! [`relay`] is the exception to "parse everything": the proxied
 //! `/jobs/<id>/events` stream is forwarded to the client byte-for-byte —
@@ -16,6 +17,8 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+use wec_serve::http::{MAX_HEADERS, MAX_HEADER_LINE};
 
 /// Largest response body the client will buffer (matches the serve
 /// daemon's request-side cap; `/stats` documents are far smaller).
@@ -85,10 +88,21 @@ fn write_request(
     s.flush()
 }
 
+/// Read one `\n`-terminated line of at most [`MAX_HEADER_LINE`] bytes
+/// (terminator excluded), stripping the line ending.
 fn read_line<R: BufRead>(r: &mut R, what: &str) -> io::Result<String> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let n = r
+        .by_ref()
+        .take(MAX_HEADER_LINE as u64 + 1)
+        .read_line(&mut line)?;
+    if n == 0 {
         return Err(bad(format!("EOF before {what}")));
+    }
+    if !line.ends_with('\n') {
+        return Err(bad(format!(
+            "{what} truncated or longer than {MAX_HEADER_LINE} bytes"
+        )));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -117,6 +131,9 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
         let line = read_line(r, "header line")?;
         if line.is_empty() {
             break;
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(bad(format!("more than {MAX_HEADERS} headers")));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(bad(format!("header without colon {line:?}")));
@@ -267,7 +284,24 @@ mod tests {
 
     #[test]
     fn malformed_responses_are_errors_not_panics() {
+        let many_headers = format!(
+            "HTTP/1.1 200 OK\r\n{}\r\n",
+            (0..=MAX_HEADERS)
+                .map(|i| format!("X-{i}: v\r\n"))
+                .collect::<String>()
+        );
+        let long_header = format!(
+            "HTTP/1.1 200 OK\r\nX: {}\r\n\r\n",
+            "v".repeat(MAX_HEADER_LINE)
+        );
+        let long_chunk_size = format!(
+            "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{}\r\n\r\n",
+            "0".repeat(MAX_HEADER_LINE + 1)
+        );
         for text in [
+            many_headers.as_str(),
+            long_header.as_str(),
+            long_chunk_size.as_str(),
             "",
             "garbage\r\n\r\n",
             "HTTP/1.1 abc OK\r\n\r\n",

@@ -26,8 +26,7 @@
 //!   `wec-router-stats-v1` / Prometheus renderers whose cluster roll-up
 //!   conserves against the embedded backend ledgers on every scrape;
 //! * [`server`] — routing, bounded retry with re-sharding around dead or
-//!   draining backends, speculation hint fan-out, and graceful drain
-//!   (writes `router.json`).
+//!   draining backends, and graceful drain (writes `router.json`).
 //!
 //! Binary: `wec_router`.
 

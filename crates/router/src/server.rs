@@ -22,11 +22,6 @@
 //!    other router (and this one, after the health thread catches up)
 //!    would send the same key.
 //!
-//! Successful submits feed the speculation predictor; predicted specs
-//! are posted as `POST /hints` to the backend that owns *their* hash,
-//! from a detached thread, so each backend's speculative lane warms
-//! points the router will route to it later.
-//!
 //! Endpoints:
 //!
 //! | method    | path                 | answer                                      |
@@ -113,9 +108,9 @@ impl Router {
             "wec-router",
             &state.draining,
             || state.inflight.load(Ordering::SeqCst) == 0,
-            |stream, peer| {
+            |stream| {
                 state.inflight.fetch_add(1, Ordering::SeqCst);
-                handle_conn(state, stream, peer);
+                handle_conn(state, stream);
                 state.inflight.fetch_sub(1, Ordering::SeqCst);
             },
         )?;
@@ -150,7 +145,7 @@ fn spawn_health(state: &Arc<RouterState>, stop: &Arc<AtomicBool>) -> Option<Join
         .ok()
 }
 
-fn handle_conn(state: &Arc<RouterState>, stream: TcpStream, peer: SocketAddr) {
+fn handle_conn(state: &Arc<RouterState>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
@@ -159,11 +154,10 @@ fn handle_conn(state: &Arc<RouterState>, stream: TcpStream, peer: SocketAddr) {
     };
     let mut reader = BufReader::new(read_half);
     let mut w = BufWriter::new(stream);
-    let client_ip = peer.ip().to_string();
     match http::read_request(&mut reader) {
         Ok(req) => {
             state.requests.fetch_add(1, Ordering::SeqCst);
-            let _ = route(state, &req, &client_ip, &mut w);
+            let _ = route(state, &req, &mut w);
         }
         Err(e) => {
             if let Some(msg) = e.client_message() {
@@ -175,16 +169,11 @@ fn handle_conn(state: &Arc<RouterState>, stream: TcpStream, peer: SocketAddr) {
     let _ = w.flush();
 }
 
-fn route<W: Write>(
-    state: &Arc<RouterState>,
-    req: &Request,
-    client_ip: &str,
-    w: &mut W,
-) -> io::Result<u16> {
+fn route<W: Write>(state: &Arc<RouterState>, req: &Request, w: &mut W) -> io::Result<u16> {
     let method = req.method.as_str();
     match req.path.as_str() {
         "/jobs" => match method {
-            "POST" => submit(state, req, client_ip, w),
+            "POST" => submit(state, req, w),
             _ => method_not_allowed(w, "POST"),
         },
         "/stats" => match method {
@@ -321,12 +310,7 @@ fn try_backend(state: &RouterState, backend: &Backend, body: &[u8]) -> Attempt {
     }
 }
 
-fn submit<W: Write>(
-    state: &Arc<RouterState>,
-    req: &Request,
-    client_ip: &str,
-    w: &mut W,
-) -> io::Result<u16> {
+fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut W) -> io::Result<u16> {
     if state.draining.load(Ordering::SeqCst) {
         return reply_503(state, w, "draining, not accepting jobs", "1");
     }
@@ -336,11 +320,10 @@ fn submit<W: Write>(
     };
     // The router validates before routing: a malformed spec has no dedup
     // key to hash, and bouncing it here keeps garbage off the backends.
-    let spec = match JobSpec::parse(body) {
-        Ok(s) => s,
+    let key = match JobSpec::parse(body) {
+        Ok(s) => s.dedup_key(),
         Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
     };
-    let key = spec.dedup_key();
 
     let order = state.ring.candidates(&key);
     let primary = order[0];
@@ -361,7 +344,6 @@ fn submit<W: Write>(
                 if resp.status == 200 {
                     backend.routed.fetch_add(1, Ordering::SeqCst);
                     state.proxied.fetch_add(1, Ordering::SeqCst);
-                    spawn_hints(state, client_ip, &spec);
                     let body = resp.body_utf8().ok().and_then(|b| rewrite_record_id(b, idx));
                     return match body {
                         Some(b) => reply_json(w, 200, "OK", &b),
@@ -401,49 +383,6 @@ fn submit<W: Write>(
         }
     }
     reply_503(state, w, "no routable backend", "1")
-}
-
-/// Fan predicted next jobs out as `POST /hints`, each to the backend
-/// that owns *its* rendezvous hash — so every backend's speculative lane
-/// warms exactly the points the router would route to it.  Detached:
-/// hints are advisory and must never add latency to the demand path.
-fn spawn_hints(state: &Arc<RouterState>, client_ip: &str, spec: &JobSpec) {
-    let Some(predictor) = &state.predictor else {
-        return;
-    };
-    let predicted = predictor.predict(client_ip, spec);
-    if predicted.is_empty() {
-        return;
-    }
-    let st = state.clone();
-    let _ = std::thread::Builder::new()
-        .name("wec-router-hints".to_string())
-        .spawn(move || {
-            for p in predicted {
-                let Some(idx) = st.ring.owner(&p.dedup_key()) else {
-                    continue;
-                };
-                let addr = st.ring.backends[idx].addr.clone();
-                let body = p.to_json();
-                st.hints_sent.fetch_add(1, Ordering::SeqCst);
-                if let Ok(resp) = client::request(
-                    &addr,
-                    "POST",
-                    "/hints",
-                    Some(body.as_bytes()),
-                    st.cfg.io_timeout,
-                ) {
-                    let accepted = resp.status == 200
-                        && resp
-                            .body_utf8()
-                            .map(|b| b.contains("\"accepted\":true"))
-                            .unwrap_or(false);
-                    if accepted {
-                        st.hints_accepted.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-            }
-        });
 }
 
 /// `/jobs/<composite-id>` and sub-paths: decode, forward to the owning

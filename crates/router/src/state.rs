@@ -16,7 +16,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use wec_serve::Predictor;
 use wec_telemetry::json::{escape_into, Json};
 use wec_telemetry::{json, schema};
 
@@ -89,9 +88,6 @@ pub struct RouterConfig {
     pub events_timeout: Duration,
     /// Where to write `router.json` on drain (`None` = nowhere).
     pub log_dir: Option<PathBuf>,
-    /// Predicted next jobs forwarded as `POST /hints` per demand submit;
-    /// 0 disables the predictor entirely.
-    pub hint_fanout: usize,
 }
 
 impl Default for RouterConfig {
@@ -105,13 +101,12 @@ impl Default for RouterConfig {
             io_timeout: Duration::from_secs(10),
             events_timeout: Duration::from_secs(30),
             log_dir: None,
-            hint_fanout: 0,
         }
     }
 }
 
-/// Shared by the accept loop, the connection threads, the health thread
-/// and the hint threads.
+/// Shared by the accept loop, the connection threads and the health
+/// thread.
 pub struct RouterState {
     pub cfg: RouterConfig,
     pub ring: Ring,
@@ -130,14 +125,8 @@ pub struct RouterState {
     /// Submits answered `503` by the router (no routable backend, or the
     /// owner's queue-full passed through after the retry budget).
     pub rejected: AtomicU64,
-    /// Speculation hints posted to backends / accepted by them.
-    pub hints_sent: AtomicU64,
-    pub hints_accepted: AtomicU64,
     /// Open connections; drain waits for this to reach zero.
     pub inflight: AtomicU64,
-    /// The speculation predictor (`Some` iff `hint_fanout > 0`), fed by
-    /// every demand submit, keyed by client IP like the serve-side one.
-    pub predictor: Option<Predictor>,
 }
 
 /// One backend's row in a scrape snapshot.
@@ -156,7 +145,6 @@ pub struct BackendScrape {
 impl RouterState {
     pub fn new(cfg: RouterConfig) -> Result<RouterState, String> {
         let ring = Ring::new(&cfg.backends)?;
-        let predictor = (cfg.hint_fanout > 0).then(|| Predictor::new(cfg.hint_fanout));
         Ok(RouterState {
             cfg,
             ring,
@@ -167,10 +155,7 @@ impl RouterState {
             retries: AtomicU64::new(0),
             resharded: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            hints_sent: AtomicU64::new(0),
-            hints_accepted: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            predictor,
         })
     }
 
@@ -231,14 +216,12 @@ impl RouterState {
         let _ = write!(
             out,
             ",\"router\":{{\"requests\":{},\"proxied\":{},\"retries\":{},\"resharded\":{},\
-             \"rejected\":{},\"hints_sent\":{},\"hints_accepted\":{}}}",
+             \"rejected\":{}}}",
             self.requests.load(Ordering::SeqCst),
             self.proxied.load(Ordering::SeqCst),
             self.retries.load(Ordering::SeqCst),
             self.resharded.load(Ordering::SeqCst),
             self.rejected.load(Ordering::SeqCst),
-            self.hints_sent.load(Ordering::SeqCst),
-            self.hints_accepted.load(Ordering::SeqCst),
         );
         out.push_str(",\"backends\":[");
         for (i, s) in scrapes.iter().enumerate() {
@@ -339,18 +322,6 @@ impl RouterState {
             "wec_router_rejected_total",
             "Submits answered 503 by the router.",
             self.rejected.load(Ordering::SeqCst),
-        );
-        counter(
-            &mut out,
-            "wec_router_hints_sent_total",
-            "Speculation hints posted to backends.",
-            self.hints_sent.load(Ordering::SeqCst),
-        );
-        counter(
-            &mut out,
-            "wec_router_hints_accepted_total",
-            "Speculation hints a backend started a speculation for.",
-            self.hints_accepted.load(Ordering::SeqCst),
         );
 
         out.push_str(
@@ -555,10 +526,11 @@ mod tests {
         })
         .unwrap();
         if speculate {
-            // One pending speculation, so the ledger is non-trivial.
-            assert!(state.submit_hint(
-                JobSpec::parse("{\"bench\": \"181.mcf\"}").unwrap()
-            ));
+            // A demand whose four-point neighbourhood stays pending, so
+            // the ledger is non-trivial.
+            state
+                .submit(JobSpec::parse("{\"bench\": \"181.mcf\"}").unwrap())
+                .unwrap();
         }
         let text = state.stats_json();
         let v = json::parse(&text).unwrap();
@@ -625,8 +597,8 @@ mod tests {
         let v = json::parse(&doc).unwrap();
         assert_eq!(u64_at(&v, &["cluster", "backends", "healthy"]), 1);
         assert_eq!(u64_at(&v, &["cluster", "backends", "dead"]), 1);
-        assert_eq!(u64_at(&v, &["cluster", "spec", "pending"]), 1);
-        assert_eq!(u64_at(&v, &["cluster", "spec", "started"]), 1);
+        assert_eq!(u64_at(&v, &["cluster", "spec", "pending"]), 4);
+        assert_eq!(u64_at(&v, &["cluster", "spec", "started"]), 4);
     }
 
     #[test]
@@ -681,19 +653,8 @@ mod tests {
         assert!(page.contains("wec_router_backend_completed_total{backend=\"node-a\"} 0"));
         assert!(page.contains("wec_router_jobs_completed_total 0"));
         // The spec ledger appears (and conserves) on the same page.
-        assert!(page.contains("wec_router_spec_started_total 1"));
-        assert!(page.contains("wec_router_spec_pending_total 1"));
+        assert!(page.contains("wec_router_spec_started_total 4"));
+        assert!(page.contains("wec_router_spec_pending_total 4"));
         assert!(page.contains("wec_router_spec_hit_total 0"));
-    }
-
-    #[test]
-    fn predictor_exists_iff_hints_are_enabled() {
-        assert!(RouterState::new(cfg2()).unwrap().predictor.is_none());
-        let state = RouterState::new(RouterConfig {
-            hint_fanout: 3,
-            ..cfg2()
-        })
-        .unwrap();
-        assert!(state.predictor.is_some());
     }
 }

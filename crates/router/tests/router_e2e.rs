@@ -12,8 +12,8 @@
 //!   and dead owners re-shard down the candidate order, and killing a
 //!   backend mid-life re-shards onto the shared store without a second
 //!   execution;
-//! - forwarded speculation hints land on the backend that owns the
-//!   *prediction's* hash, and the predicted demand job arrives warm;
+//! - a backend speculates its demands' sweep-axis neighbours, and a
+//!   neighbour the router routes back to it arrives warm;
 //! - every `/stats` scrape and the drain-time `router.json` conserve
 //!   (cluster totals == sum of embedded backend ledgers).
 
@@ -26,7 +26,8 @@ use std::time::{Duration, Instant};
 
 use wec_router::state::LOCAL_ID_BITS;
 use wec_router::{Ring, Router, RouterConfig, RouterState};
-use wec_serve::{JobSpec, Predictor, ServeConfig, Server, SpecConfig};
+use wec_serve::predict::{neighbourhood, SIDE_AXIS, WAYS_AXIS};
+use wec_serve::{JobSpec, ServeConfig, Server, SpecConfig};
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
 
@@ -549,92 +550,75 @@ fn killing_a_backend_reshards_onto_the_shared_store_without_reexecution() {
 }
 
 #[test]
-fn hints_land_on_the_predictions_hash_owner_and_warm_its_spec_lane() {
-    // Backends speculate only on router hints (their own predictor is
-    // off), so every speculative start below is router-attributed.
-    let spec_cfg = || {
-        Some(SpecConfig {
-            fanout: 0,
+fn a_neighbour_speculated_by_its_owner_is_served_from_its_spec_lane() {
+    let mk = |store| ServeConfig {
+        spec: Some(SpecConfig {
             queue_cap: 8,
             inflight_max: 2,
             ttl: Duration::from_secs(120),
-        })
-    };
-    let mk = |store| ServeConfig {
-        spec: spec_cfg(),
+        }),
         ..backend_cfg(store)
     };
-    let store = scratch("hints-store");
+    let store = scratch("neighbour-store");
     let (a, ha) = start_backend(mk(Some(store.clone())));
     let (b, hb) = start_backend(mk(Some(store)));
     let addrs = vec![a.to_string(), b.to_string()];
-    let mut cfg = router_cfg(addrs.clone());
-    cfg.hint_fanout = 1;
-    let (state, raddr, hr) = start_router(cfg);
-
-    // Replicate the router's prediction with a reference predictor: same
-    // client key ("127.0.0.1"), same fanout, same single submission.
-    let submitted =
-        "{\"bench\": \"164.gzip\", \"scale\": 1, \"cfg\": {\"side_entries\": 8}}".to_string();
-    let spec = JobSpec::parse(&submitted).unwrap();
-    let predicted = Predictor::new(1).predict("127.0.0.1", &spec);
-    assert_eq!(predicted.len(), 1);
-    let p = &predicted[0];
     let ring = Ring::new(&addrs).unwrap();
-    let p_owner = ring.candidates(&p.dedup_key())[0];
-    let (owner_addr, other_addr) = if p_owner == 0 { (a, b) } else { (b, a) };
+    let (_state, raddr, hr) = start_router(router_cfg(addrs));
 
-    let (s, rec) = request(raddr, "POST", "/jobs", Some(&submitted));
-    assert_eq!(s, 200, "{rec}");
-
-    // The detached hint thread posts to the prediction's hash owner.
-    poll_until("hint accepted", || {
-        state.hints_accepted.load(Ordering::SeqCst) >= 1
-    });
-    assert_eq!(state.hints_sent.load(Ordering::SeqCst), 1);
-    let spec_started = |addr: SocketAddr| {
-        let (s, stats) = request(addr, "GET", "/stats", None);
-        assert_eq!(s, 200);
-        u64_at(&json::parse(&stats).unwrap(), &["spec", "started"])
+    // A demand whose first neighbour (one side step up the axis) has the
+    // same rendezvous owner, so that owner's own speculation covers it.
+    let body = |side: u8, ways: u8| {
+        format!(
+            "{{\"bench\": \"164.gzip\", \"scale\": 1, \
+             \"cfg\": {{\"side_entries\": {side}, \"l1_ways\": {ways}}}}}"
+        )
     };
-    poll_until("owner speculation started", || spec_started(owner_addr) >= 1);
+    let owner = |body: &str| ring.candidates(&JobSpec::parse(body).unwrap().dedup_key())[0];
+    let (demand, next) = WAYS_AXIS
+        .iter()
+        .flat_map(|&w| SIDE_AXIS.windows(2).map(move |s| (s[0], s[1], w)))
+        .map(|(lo, hi, w)| (body(lo, w), body(hi, w)))
+        .find(|(d, n)| owner(d) == owner(n))
+        .expect("some adjacent pair shares an owner");
+    let first = &neighbourhood(&JobSpec::parse(&demand).unwrap())[0];
     assert_eq!(
-        spec_started(other_addr),
-        0,
-        "only the prediction's hash owner speculates"
+        first.dedup_key(),
+        JobSpec::parse(&next).unwrap().dedup_key()
     );
-    // Let the prefetch finish unclaimed (an unclaimed completion lands in
-    // the backend's source="spec" duration histogram) so the demand below
-    // hits a parked ready result, not an in-flight job.
-    poll_until("speculation completed unclaimed", || {
-        let (s, page) = request(owner_addr, "GET", "/metrics", None);
-        assert_eq!(s, 200);
-        page.lines().any(|l| {
-            l.starts_with("wec_serve_job_duration_ms_count{source=\"spec\"}")
-                && !l.ends_with(" 0")
-        })
+    let p_owner = owner(&demand);
+    let owner_addr = [a, b][p_owner];
+
+    let (s, rec) = request(raddr, "POST", "/jobs", Some(&demand));
+    assert_eq!(s, 200, "{rec}");
+    // On a fresh backend the demand is local job 1 and its first
+    // neighbour's speculation job 2.  Let it finish unclaimed, so the
+    // demand below hits a parked ready result, not an in-flight job.
+    poll_until("first neighbour speculated", || {
+        let (s, rec) = request(owner_addr, "GET", "/jobs/2", None);
+        assert_eq!(s, 200, "{rec}");
+        let v = json::parse(&rec).unwrap();
+        assert_eq!(
+            v.get("cfg").and_then(Json::as_str),
+            Some(first.key.label().as_str())
+        );
+        v.get("state").and_then(Json::as_str) == Some("done")
     });
 
-    // The predicted demand job arrives warm from the speculative lane —
-    // and the router routes it to the very backend that pre-computed it.
-    let (s, rec) = request(raddr, "POST", "/jobs", Some(&p.to_json()));
+    // The neighbour's demand is routed to the owner and served warm from
+    // its speculative lane.
+    let (s, rec) = request(raddr, "POST", "/jobs", Some(&next));
     assert_eq!(s, 200, "{rec}");
     let id = u64_at(&json::parse(&rec).unwrap(), &["id"]);
     assert_eq!(id >> LOCAL_ID_BITS, p_owner as u64 + 1);
     let rec = poll_terminal(raddr, id);
     assert_eq!(rec.get("source").unwrap().as_str(), Some("spec"), "{rec:?}");
 
-    // The cluster document carries the speculation ledger and conserves.
-    // (The second submit's hint thread is detached — wait it out.)
-    poll_until("second hint sent", || {
-        state.hints_sent.load(Ordering::SeqCst) >= 2
-    });
     let (ss, stats) = request(raddr, "GET", "/stats", None);
     assert_eq!(ss, 200);
     schema::validate_router_stats_json(&stats).unwrap();
     let v = json::parse(&stats).unwrap();
     assert_eq!(u64_at(&v, &["cluster", "cache", "spec_hits"]), 1, "{stats}");
-    assert_eq!(u64_at(&v, &["router", "hints_sent"]), 2, "one per demand submit");
 
     drain_router(raddr, hr);
     drain_backend(a, ha);
@@ -654,7 +638,6 @@ fn every_scrape_conserves_and_drain_writes_validated_router_json() {
     let addrs = vec![a.to_string(), b.to_string()];
     let mut cfg = router_cfg(addrs);
     cfg.log_dir = Some(logs.clone());
-    cfg.hint_fanout = 2;
     let (_state, raddr, hr) = start_router(cfg);
 
     // Walk the sweep's side axis with self-speculating backends churning

@@ -27,7 +27,7 @@
 //! cycle with per-connection walks along the sorted side-entries axis
 //! (each connection pins one `l1_ways`, ping-pongs ±1 along the axis, and
 //! takes a deterministic long jump every 7th step) — the access shape the
-//! daemon's `--speculate` predictor is built for, so the report's
+//! daemon's `--speculate` neighbourhood rule is built for, so the report's
 //! `spec_hit_rate` measures how many demand jobs were answered from
 //! already-speculated results (`source:"spec"`).  The generator is *open-loop*: request `i` is due
 //! at `t0 + i/rate` regardless of how the daemon is keeping up, and
@@ -189,7 +189,7 @@ fn cluster_record(targets: &[String]) -> Option<String> {
         return Some(format!(
             "{{\"scraped_from\": \"{t}\", \"backends\": {backends}, \"scraped\": {scraped}, \
              \"router\": {{\"proxied\": {}, \"retries\": {}, \"resharded\": {}, \
-             \"rejected\": {}, \"hints_sent\": {}, \"hints_accepted\": {}}}, \
+             \"rejected\": {}}}, \
              \"jobs\": {{\"submitted\": {}, \"deduped\": {}, \"completed\": {}, \"failed\": {}}}, \
              \"cache\": {{\"cold\": {}, \"disk_hits\": {}, \"mem_hits\": {}, \"spec_hits\": {}}}, \
              \"jobs_per_sec\": {jobs_per_sec:.3}}}",
@@ -197,8 +197,6 @@ fn cluster_record(targets: &[String]) -> Option<String> {
             n(&["router", "retries"]),
             n(&["router", "resharded"]),
             n(&["router", "rejected"]),
-            n(&["router", "hints_sent"]),
-            n(&["router", "hints_accepted"]),
             n(&["cluster", "jobs", "submitted"]),
             n(&["cluster", "jobs", "deduped"]),
             n(&["cluster", "jobs", "completed"]),
@@ -317,8 +315,7 @@ fn main() {
                 // The sweep-walk state: this connection pins one L1
                 // associativity and ping-pongs ±1 along the sorted
                 // side-entries axis, with a deterministic long jump every
-                // 7th step so the predictor's learned-transition table has
-                // something non-trivial to earn.
+                // 7th step that no neighbourhood covers.
                 const WALK_SIDES: [u8; 8] = [2, 4, 8, 16, 24, 32, 64, 128];
                 let walk_ways = WAYS[tid % WAYS.len()];
                 let mut idx = tid % WALK_SIDES.len();

@@ -5,8 +5,7 @@
 //!           [--store DIR | --no-store] [--log-dir DIR]
 //!           [--io-timeout-ms N] [--events-timeout-ms N]
 //!           [--sample-interval-ms N] [--ring-cap N] [--attribution]
-//!           [--speculate] [--spec-fanout N] [--spec-queue-cap N]
-//!           [--spec-inflight N] [--spec-ttl-ms N] [--backend-id ID]
+//!           [--speculate] [--backend-id ID]
 //! ```
 //!
 //! Defaults: `127.0.0.1:8407`, [`wec_bench::runner::default_hosts`]
@@ -23,20 +22,17 @@
 //! conservation summary, `GET /jobs/<id>/attribution` serves the full
 //! `wec-attribution-v1` document, and `/metrics` aggregates the ledger
 //! (`wec_serve_attr_*_total`).  `--speculate` turns on the speculative
-//! prefetch subsystem: every demand submission feeds a per-client
-//! next-job predictor, predicted sweep points run on idle workers only,
-//! and their results park in the warm memo so the demand request that
-//! was predicted correctly is answered as an instant, byte-identical
-//! `source:"spec"` hit.  `--spec-fanout`/`--spec-queue-cap`/
-//! `--spec-inflight`/`--spec-ttl-ms` tune the prediction width, the
-//! low-priority queue bound, the idle-worker budget, and how long an
-//! unclaimed speculation stays credited before it is reclaimed as waste
-//! (they require `--speculate`).  `--backend-id` names this daemon in a
-//! sharded cluster (the literal `auto` derives it from the bound
-//! address): the id is stamped into `stats.json`, every `jobs.jsonl`
-//! record, and `/metrics` (`wec_serve_backend_info`), so a fronting
-//! `wec_router` can attribute aggregated scrapes; without the flag all
-//! artifacts stay byte-identical to earlier builds.
+//! prefetch subsystem: every demand submission enqueues up to four points
+//! of its sweep-axis neighbourhood (side entries ±1, L1 ways ±1, the
+//! sibling preset, doubled scale), they run on idle workers only, and
+//! their results park in the warm memo so a later demand for one of them
+//! is answered as an instant, byte-identical `source:"spec"` hit.  The
+//! lane keeps [`wec_serve::SpecConfig`]'s default limits.  `--backend-id`
+//! names this daemon in a sharded cluster (the literal `auto` derives it
+//! from the bound address): the id is stamped into `stats.json`, every
+//! `jobs.jsonl` record, and `/metrics` (`wec_serve_backend_info`), so a
+//! fronting `wec_router` can attribute aggregated scrapes; without the
+//! flag all artifacts stay byte-identical to earlier builds.
 //! SIGTERM/SIGINT/`POST /shutdown`
 //! drain gracefully: in-flight jobs finish, then the process exits 0.
 
@@ -49,9 +45,6 @@ use wec_serve::{ServeConfig, Server, SpecConfig};
 fn main() {
     let mut addr = "127.0.0.1:8407".to_string();
     let mut cfg = ServeConfig::default();
-    let mut speculate = false;
-    let mut spec_cfg = SpecConfig::default();
-    let mut spec_tuned: Option<&'static str> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -102,40 +95,9 @@ fn main() {
                 assert!(!id.is_empty(), "--backend-id must be non-empty");
                 cfg.backend_id = Some(id);
             }
-            "--speculate" => speculate = true,
-            "--spec-fanout" => {
-                spec_cfg.fanout = value("--spec-fanout").parse().expect("--spec-fanout N");
-                assert!(spec_cfg.fanout > 0, "--spec-fanout must be positive");
-                spec_tuned = Some("--spec-fanout");
-            }
-            "--spec-queue-cap" => {
-                spec_cfg.queue_cap = value("--spec-queue-cap")
-                    .parse()
-                    .expect("--spec-queue-cap N");
-                assert!(spec_cfg.queue_cap > 0, "--spec-queue-cap must be positive");
-                spec_tuned = Some("--spec-queue-cap");
-            }
-            "--spec-inflight" => {
-                spec_cfg.inflight_max = value("--spec-inflight")
-                    .parse()
-                    .expect("--spec-inflight N");
-                assert!(spec_cfg.inflight_max > 0, "--spec-inflight must be positive");
-                spec_tuned = Some("--spec-inflight");
-            }
-            "--spec-ttl-ms" => {
-                spec_cfg.ttl = Duration::from_millis(
-                    value("--spec-ttl-ms").parse().expect("--spec-ttl-ms N"),
-                );
-                spec_tuned = Some("--spec-ttl-ms");
-            }
+            "--speculate" => cfg.spec = Some(SpecConfig::default()),
             other => panic!("unknown argument {other:?}"),
         }
-    }
-    if let Some(flag) = spec_tuned {
-        assert!(speculate, "{flag} requires --speculate");
-    }
-    if speculate {
-        cfg.spec = Some(spec_cfg);
     }
 
     install_signal_handlers();
@@ -162,8 +124,7 @@ fn main() {
             .as_ref()
             .map(|s| {
                 format!(
-                    "fanout {} queue {} inflight {} ttl {}ms",
-                    s.fanout,
+                    "queue {} inflight {} ttl {}ms",
                     s.queue_cap,
                     s.inflight_max,
                     s.ttl.as_millis()

@@ -70,7 +70,7 @@ pub fn run<D, H>(
 ) -> io::Result<()>
 where
     D: Fn() -> bool + Sync,
-    H: Fn(TcpStream, SocketAddr) + Sync,
+    H: Fn(TcpStream) + Sync,
 {
     let wake_to = loopback_if_wildcard(listener.local_addr()?);
     // The wake-up connection's local address.  The watcher holds the lock
@@ -96,7 +96,7 @@ where
                         .spawn_scoped(s, move || {
                             // A panicking handler costs its own connection
                             // only; the hook has already reported it.
-                            let _ = panic::catch_unwind(AssertUnwindSafe(|| handler(stream, peer)));
+                            let _ = panic::catch_unwind(AssertUnwindSafe(|| handler(stream)));
                         });
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

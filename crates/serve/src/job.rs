@@ -214,49 +214,6 @@ impl JobSpec {
             JobKind::Replay { .. } => "replay",
         }
     }
-
-    /// Serialize back into a `POST /jobs` / `POST /hints` body that
-    /// [`JobSpec::parse`] round-trips to the same [`JobSpec::dedup_key`].
-    /// Every cfg field is emitted explicitly, so the body is independent
-    /// of the receiver's defaults.  This is how a routing tier forwards a
-    /// predicted spec to the backend that owns its hash.
-    pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"kind\":\"{}\"", self.kind_name());
-        match &self.kind {
-            JobKind::Sim { bench } => {
-                out.push_str(",\"bench\":");
-                escape_into(&mut out, bench.name());
-                let _ = write!(out, ",\"scale\":{}", self.scale.units);
-            }
-            // Replay specs take bench and scale from the trace header, and
-            // `parse` rejects them if either is present.
-            JobKind::Replay { trace } => {
-                out.push_str(",\"trace\":");
-                escape_into(&mut out, &trace.display().to_string());
-            }
-        }
-        let k = &self.key;
-        let bpred = match k.bpred {
-            BpredKind::StaticTaken => "StaticTaken",
-            BpredKind::Bimodal => "Bimodal",
-            BpredKind::Gshare => "Gshare",
-        };
-        let _ = write!(
-            out,
-            ",\"cfg\":{{\"preset\":\"{}\",\"n_tus\":{},\"width\":{},\"l1_kb\":{},\"l1_ways\":{},\
-             \"side_entries\":{},\"l2_kb\":{},\"l1_block\":{},\"mem_latency\":{},\"bpred\":\"{bpred}\"}}}}",
-            k.preset.name(),
-            k.n_tus,
-            k.width,
-            k.l1_kb,
-            k.l1_ways,
-            k.side_entries,
-            k.l2_kb,
-            k.l1_block,
-            k.mem_latency,
-        );
-        out
-    }
 }
 
 /// The speculation attribution ledger of one attribution-enabled job: the
@@ -505,23 +462,6 @@ mod tests {
                 .unwrap()
                 .dedup_key()
         );
-    }
-
-    #[test]
-    fn specs_round_trip_through_to_json() {
-        for body in [
-            "{\"bench\": \"181.mcf\"}",
-            "{\"bench\": \"164.gzip\", \"scale\": 4, \"cfg\": {\"preset\": \"wth-wp-vc\", \
-             \"side_entries\": 32, \"l1_ways\": 2, \"bpred\": \"Gshare\"}}",
-            "{\"kind\": \"replay\", \"trace\": \"traces/mcf.wectrace\", \
-             \"cfg\": {\"side_entries\": 16}}",
-        ] {
-            let spec = JobSpec::parse(body).unwrap();
-            let round = JobSpec::parse(&spec.to_json())
-                .unwrap_or_else(|e| panic!("{body}: to_json not parseable: {e}"));
-            assert_eq!(spec.dedup_key(), round.dedup_key(), "{body}");
-            assert_eq!(spec.key, round.key, "{body}");
-        }
     }
 
     #[test]

@@ -32,9 +32,8 @@
 //!   sparklines, fed by the in-server sampler thread;
 //! * [`dashboard`] — `GET /dashboard` (a self-contained HTML page, inline
 //!   SVG, zero external dependencies) and its `GET /dashboard/data` feed;
-//! * [`predict`] — the sweep-aware next-job predictor behind `--speculate`:
-//!   per-client transition history plus sweep-axis adjacency, fully
-//!   deterministic (no RNG);
+//! * [`predict`] — the candidate rule behind `--speculate`: a demand's
+//!   sweep-axis neighbourhood, a pure function of its spec;
 //! * [`spec`] — speculative-execution plumbing: the prefetch budget/TTL
 //!   configuration, the parked ready-result index, and the `spec` stats
 //!   block surfaced by `/stats` v2 and `/metrics`.
@@ -57,7 +56,6 @@ pub mod worker;
 
 pub use job::{JobKind, JobRecord, JobSpec, JobState};
 pub use metrics::ServeMetrics;
-pub use predict::Predictor;
 pub use queue::JobQueue;
 pub use ringbuf::{RingBuffer, ServiceSample};
 pub use server::Server;

@@ -39,7 +39,6 @@ pub const ENDPOINTS: &[&str] = &[
     "dashboard",
     "dashboard_data",
     "shutdown",
-    "hint",
     "other",
 ];
 
@@ -54,7 +53,6 @@ pub fn endpoint_index(path: &str) -> usize {
         "/dashboard" => "dashboard",
         "/dashboard/data" => "dashboard_data",
         "/shutdown" => "shutdown",
-        "/hints" => "hint",
         p => match p.strip_prefix("/jobs/") {
             Some(rest) => match rest.split_once('/').map(|(_, sub)| sub) {
                 None => "job",

@@ -1,64 +1,24 @@
-//! The speculation predictor: which jobs will this client ask for next?
+//! Which jobs will a client ask for next?  The sweep-axis neighbourhood.
 //!
 //! The 48-point replay sweep (`wec-bench`'s `sweep_keys()`) walks two
 //! presets × eight side-structure sizes × three L1 associativities, and
 //! real clients walk it in order — so the strongest signal is *adjacency
-//! on the sweep axes*, the serving-tier analog of the paper's
-//! next-line-prefetch locality.  On top of that static neighborhood the
-//! predictor keeps a small per-client history (stride continuation: a
-//! client stepping `side 8 → 16` is probably headed for 24) and a global
-//! first-order transition table (key → observed successors), so repeated
-//! sweeps are learned exactly.
-//!
-//! Everything is deterministic: no RNG, no HashMap iteration order in
-//! scoring (candidates come from fixed-order rules and insertion-ordered
-//! successor lists), and identity is [`JobSpec::dedup_key`] throughout.
-//! Memory is bounded: at most [`MAX_CLIENTS`] client histories and
-//! [`MAX_TRANSITIONS`] transition rows, evicted oldest-first.
-
-use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+//! on the sweep axes*, the serving-tier analog of the paper's fixed
+//! next-line-prefetch rule.  [`neighbourhood`] is a pure function of the
+//! submitted spec: no per-client history, no learned table, no lock, so
+//! every backend behind a router predicts the same points for the same
+//! demand whichever client sent it.
 
 use wec_core::config::ProcPreset;
-use wec_workloads::Scale;
 
 use crate::job::{JobKind, JobSpec};
-use crate::lock;
 
 /// The replay sweep's side-structure axis, in walk order.
 pub const SIDE_AXIS: [u8; 8] = [2, 4, 8, 16, 24, 32, 64, 128];
 /// The replay sweep's L1-associativity axis.
 pub const WAYS_AXIS: [u8; 3] = [1, 2, 4];
-
-pub const MAX_CLIENTS: usize = 256;
-pub const MAX_TRANSITIONS: usize = 512;
-/// Successors remembered per transition row.
-const MAX_SUCCESSORS: usize = 8;
-
-struct ClientHist {
-    /// The client's previous submission (for stride detection).
-    prev: Option<JobSpec>,
-    /// The client's latest submission.
-    last: Option<JobSpec>,
-}
-
-struct Tables {
-    clients: HashMap<String, ClientHist>,
-    client_order: VecDeque<String>,
-    /// dedup_key → successors observed after it, insertion-ordered.
-    transitions: HashMap<String, Vec<(JobSpec, u32)>>,
-    transition_order: VecDeque<String>,
-}
-
-/// Deterministic per-client / global-transition next-job predictor.
-pub struct Predictor {
-    fanout: usize,
-    tables: Mutex<Tables>,
-}
-
-fn axis_idx(axis: &[u8], v: u8) -> Option<usize> {
-    axis.iter().position(|&a| a == v)
-}
+/// Candidates enqueued speculatively per demand submission.
+pub const FANOUT: usize = 4;
 
 /// The sweep's preset pair: each member predicts the other.
 fn sibling_preset(p: ProcPreset) -> Option<ProcPreset> {
@@ -69,195 +29,44 @@ fn sibling_preset(p: ProcPreset) -> Option<ProcPreset> {
     }
 }
 
-impl Predictor {
-    pub fn new(fanout: usize) -> Predictor {
-        Predictor {
-            fanout,
-            tables: Mutex::new(Tables {
-                clients: HashMap::new(),
-                client_order: VecDeque::new(),
-                transitions: HashMap::new(),
-                transition_order: VecDeque::new(),
-            }),
-        }
-    }
-
-    /// Observe one demand submission from `client` and return up to
-    /// `fanout` predicted next specs, best first.  Never returns the
-    /// submitted spec itself.
-    pub fn predict(&self, client: &str, spec: &JobSpec) -> Vec<JobSpec> {
-        let key = spec.dedup_key();
-        let mut g = lock(&self.tables);
-
-        // Learn the transition last -> spec before consulting the tables,
-        // so an exact repeat of a sweep predicts perfectly from pass 2 on.
-        let prev_spec = match g.clients.get(client) {
-            Some(h) => h.last.clone(),
-            None => None,
-        };
-        if let Some(last) = &prev_spec {
-            let last_key = last.dedup_key();
-            if last_key != key {
-                if !g.transitions.contains_key(&last_key) {
-                    if g.transitions.len() >= MAX_TRANSITIONS {
-                        if let Some(old) = g.transition_order.pop_front() {
-                            g.transitions.remove(&old);
-                        }
-                    }
-                    g.transition_order.push_back(last_key.clone());
-                    g.transitions.insert(last_key.clone(), Vec::new());
-                }
-                let row = g.transitions.get_mut(&last_key).unwrap();
-                match row.iter_mut().find(|(s, _)| s.dedup_key() == key) {
-                    Some((_, n)) => *n += 1,
-                    None => {
-                        if row.len() < MAX_SUCCESSORS {
-                            row.push((spec.clone(), 1));
-                        } else {
-                            // Replace the weakest successor (last among ties).
-                            let mut weakest = 0;
-                            for (i, (_, n)) in row.iter().enumerate() {
-                                if *n <= row[weakest].1 {
-                                    weakest = i;
-                                }
-                            }
-                            row[weakest] = (spec.clone(), 1);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Candidate generation: (score, spec), fixed rule order.
-        let mut cands: Vec<(u32, JobSpec)> = Vec::new();
-
-        // 1. Learned successors of this key (score 100 + observation count).
-        if let Some(row) = g.transitions.get(&key) {
-            for (s, n) in row {
-                cands.push((100 + n, s.clone()));
-            }
-        }
-
-        // 2. Stride continuation from this client's history: prev -> spec
-        //    stepped the side axis by d, so predict another step of d.
-        if let Some(prev) = &prev_spec {
-            if let Some(next) = side_stride(prev, spec) {
-                cands.push((90, next));
-            }
-        }
-
-        // 3. Static sweep-axis neighborhood.
-        if let Some(i) = axis_idx(&SIDE_AXIS, spec.key.side_entries) {
-            if i + 1 < SIDE_AXIS.len() {
-                cands.push((60, with_side(spec, SIDE_AXIS[i + 1])));
-            }
-            if i > 0 {
-                cands.push((55, with_side(spec, SIDE_AXIS[i - 1])));
-            }
-        }
-        if let Some(i) = axis_idx(&WAYS_AXIS, spec.key.l1_ways) {
-            if i + 1 < WAYS_AXIS.len() {
-                cands.push((50, with_ways(spec, WAYS_AXIS[i + 1])));
-            }
-            if i > 0 {
-                cands.push((45, with_ways(spec, WAYS_AXIS[i - 1])));
-            }
-        }
-        if let Some(p) = sibling_preset(spec.key.preset) {
-            let mut s = spec.clone();
-            s.key.preset = p;
-            cands.push((40, s));
-        }
-        if let JobKind::Sim { .. } = spec.kind {
-            if spec.scale.units <= (1 << 19) {
-                let mut s = spec.clone();
-                s.scale = Scale {
-                    units: spec.scale.units * 2,
-                };
-                cands.push((10, s));
-            }
-        }
-
-        // Update the client history (bounded, oldest client evicted).
-        if !g.clients.contains_key(client) {
-            if g.clients.len() >= MAX_CLIENTS {
-                if let Some(old) = g.client_order.pop_front() {
-                    g.clients.remove(&old);
-                }
-            }
-            g.client_order.push_back(client.to_string());
-            g.clients.insert(
-                client.to_string(),
-                ClientHist {
-                    prev: None,
-                    last: None,
-                },
-            );
-        }
-        let hist = g.clients.get_mut(client).unwrap();
-        hist.prev = prev_spec;
-        hist.last = Some(spec.clone());
-        drop(g);
-
-        // Rank: score desc, dedup_key asc as the deterministic tiebreak;
-        // drop self and duplicates; cap at fanout.
-        let mut keyed: Vec<(u32, String, JobSpec)> = cands
-            .into_iter()
-            .map(|(sc, s)| {
-                let k = s.dedup_key();
-                (sc, k, s)
-            })
-            .filter(|(_, k, _)| *k != key)
-            .collect();
-        keyed.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for (_, k, s) in keyed {
-            if out.len() >= self.fanout {
-                break;
-            }
-            if seen.insert(k) {
-                out.push(s);
-            }
-        }
-        out
-    }
+/// The entries one step up, then one step down, from `v` on `axis`.
+fn steps(axis: &[u8], v: u8) -> impl Iterator<Item = u8> + '_ {
+    let i = axis.iter().position(|&a| a == v);
+    let up = i.and_then(|i| axis.get(i + 1));
+    let down = i.and_then(|i| i.checked_sub(1)).map(|j| &axis[j]);
+    up.into_iter().chain(down).copied()
 }
 
-fn with_side(spec: &JobSpec, side: u8) -> JobSpec {
+/// `spec` with one field changed by `f`.
+fn with(spec: &JobSpec, f: impl FnOnce(&mut JobSpec)) -> JobSpec {
     let mut s = spec.clone();
-    s.key.side_entries = side;
+    f(&mut s);
     s
 }
 
-fn with_ways(spec: &JobSpec, ways: u8) -> JobSpec {
-    let mut s = spec.clone();
-    s.key.l1_ways = ways;
-    s
-}
-
-/// If `prev -> cur` stepped the side axis by `d` (same bench, preset,
-/// ways, scale), the predicted continuation is one more step of `d`.
-fn side_stride(prev: &JobSpec, cur: &JobSpec) -> Option<JobSpec> {
-    if prev.bench_field() != cur.bench_field()
-        || prev.kind_name() != cur.kind_name()
-        || prev.scale.units != cur.scale.units
-        || prev.key.preset != cur.key.preset
-        || prev.key.l1_ways != cur.key.l1_ways
-    {
-        return None;
+/// Up to [`FANOUT`] likely next specs after `spec`, best first: side
+/// entries one step up then down the axis, L1 ways one step up then
+/// down, the sibling preset, then (sims only) the doubled scale.  Each
+/// rule changes exactly one field of the dedup key to a different value,
+/// so the candidates are distinct and never `spec` itself.
+pub fn neighbourhood(spec: &JobSpec) -> Vec<JobSpec> {
+    let mut out = Vec::new();
+    for side in steps(&SIDE_AXIS, spec.key.side_entries) {
+        out.push(with(spec, |s| s.key.side_entries = side));
     }
-    let a = axis_idx(&SIDE_AXIS, prev.key.side_entries)? as isize;
-    let b = axis_idx(&SIDE_AXIS, cur.key.side_entries)? as isize;
-    let d = b - a;
-    if d == 0 {
-        return None;
+    for ways in steps(&WAYS_AXIS, spec.key.l1_ways) {
+        out.push(with(spec, |s| s.key.l1_ways = ways));
     }
-    let next = b + d;
-    if next < 0 || next as usize >= SIDE_AXIS.len() {
-        return None;
+    if let Some(p) = sibling_preset(spec.key.preset) {
+        out.push(with(spec, |s| s.key.preset = p));
     }
-    Some(with_side(cur, SIDE_AXIS[next as usize]))
+    if let JobKind::Sim { .. } = spec.kind {
+        if spec.scale.units <= (1 << 19) {
+            out.push(with(spec, |s| s.scale.units *= 2));
+        }
+    }
+    out.truncate(FANOUT);
+    out
 }
 
 #[cfg(test)]
@@ -271,80 +80,45 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn fanout_zero_predicts_nothing_but_still_learns() {
-        let p = Predictor::new(0);
-        assert!(p.predict("c", &spec("164.gzip", 8, 1)).is_empty());
-        assert!(p.predict("c", &spec("164.gzip", 16, 1)).is_empty());
-        // The tables learned the transition even while muted: a fanout-1
-        // predictor fed the same history would now lean on it, so the
-        // muted predictor must have recorded it too.
-        let loud = Predictor::new(1);
-        loud.predict("c", &spec("164.gzip", 8, 1));
-        let expect = loud.predict("c", &spec("164.gzip", 16, 1));
-        assert_eq!(expect.len(), 1);
+    fn keys(specs: &[JobSpec]) -> Vec<String> {
+        specs.iter().map(JobSpec::dedup_key).collect()
     }
 
     #[test]
     fn predictions_are_deterministic_and_never_echo_the_input() {
-        let p = Predictor::new(4);
         let s = spec("181.mcf", 8, 2);
-        let a = p.predict("c1", &s);
-        let p2 = Predictor::new(4);
-        let b = p2.predict("c1", &s);
-        assert_eq!(
-            a.iter().map(JobSpec::dedup_key).collect::<Vec<_>>(),
-            b.iter().map(JobSpec::dedup_key).collect::<Vec<_>>()
-        );
-        assert!(a.iter().all(|c| c.dedup_key() != s.dedup_key()));
-        assert!(!a.is_empty() && a.len() <= 4);
+        let a = keys(&neighbourhood(&s));
+        assert_eq!(a, keys(&neighbourhood(&s)));
+        assert!(a.iter().all(|k| *k != s.dedup_key()));
+        let distinct: std::collections::HashSet<&String> = a.iter().collect();
+        assert_eq!(distinct.len(), a.len(), "{a:?}");
+        assert!(!a.is_empty() && a.len() <= FANOUT);
     }
 
     #[test]
     fn adjacent_sweep_points_lead_the_static_neighborhood() {
-        let p = Predictor::new(8);
-        let out = p.predict("c1", &spec("181.mcf", 8, 2));
-        let keys: Vec<String> = out.iter().map(JobSpec::dedup_key).collect();
-        // Next side size up the axis is the top static candidate.
-        assert_eq!(out[0].key.side_entries, 16, "{keys:?}");
-        assert!(out.iter().any(|s| s.key.side_entries == 4), "{keys:?}");
-        assert!(out.iter().any(|s| s.key.l1_ways == 4), "{keys:?}");
-        assert!(out.iter().any(|s| s.key.l1_ways == 1), "{keys:?}");
-    }
-
-    #[test]
-    fn stride_continuation_outranks_static_neighbors() {
-        let p = Predictor::new(4);
-        p.predict("c1", &spec("181.mcf", 8, 2));
-        let out = p.predict("c1", &spec("181.mcf", 16, 2));
-        // 8 -> 16 stepped +1, so 24 (stride) outranks 32's absence and
-        // sits above the generic +1 neighbor (which is also 24 here —
-        // the point is it is ranked first).
-        assert_eq!(out[0].key.side_entries, 24);
-        // A backwards walk strides down.
-        let p = Predictor::new(4);
-        p.predict("c2", &spec("181.mcf", 32, 2));
-        let out = p.predict("c2", &spec("181.mcf", 24, 2));
-        assert_eq!(out[0].key.side_entries, 16);
-    }
-
-    #[test]
-    fn learned_transitions_dominate_after_one_observation() {
-        let p = Predictor::new(4);
-        // Teach: mcf/8 is followed by gzip/128 (nothing adjacency would
-        // ever guess).
-        p.predict("c1", &spec("181.mcf", 8, 2));
-        p.predict("c1", &spec("164.gzip", 128, 2));
-        // A different client at mcf/8 now gets the learned successor
-        // first — the table is global.
-        let out = p.predict("c2", &spec("181.mcf", 8, 2));
-        assert_eq!(out[0].dedup_key(), spec("164.gzip", 128, 2).dedup_key());
+        let out = neighbourhood(&spec("181.mcf", 8, 2));
+        let k = keys(&out);
+        // Side one step up, then down, then ways up, then down.
+        assert_eq!(
+            out.iter()
+                .map(|s| (s.key.side_entries, s.key.l1_ways))
+                .collect::<Vec<_>>(),
+            [(16, 2), (4, 2), (8, 4), (8, 1)],
+            "{k:?}"
+        );
+        // At an axis end the sibling preset and the doubled scale move up.
+        let out = neighbourhood(&spec("181.mcf", 128, 4));
+        assert_eq!(out[0].key.side_entries, 64);
+        assert_eq!(out[1].key.l1_ways, 2);
+        assert_eq!(out[2].key.preset, ProcPreset::WthWpVc);
+        assert_eq!(out[3].scale.units, 2);
     }
 
     #[test]
     fn fanout_caps_the_candidate_list() {
-        let p = Predictor::new(2);
-        let out = p.predict("c1", &spec("181.mcf", 16, 2));
-        assert_eq!(out.len(), 2);
+        // Side ±1, ways ±1, sibling preset and doubled scale: six rules
+        // apply, four are kept.
+        assert_eq!(neighbourhood(&spec("181.mcf", 16, 2)).len(), FANOUT);
     }
 }

@@ -21,7 +21,6 @@
 //! | method    | path                   | answer                                   |
 //! |-----------|------------------------|------------------------------------------|
 //! | POST      | `/jobs`                | job record (shared on dedup); `503` full |
-//! | POST      | `/hints`               | `{"accepted":…}` speculation hint (router tier) |
 //! | GET       | `/jobs/<id>`           | `wec-job-record-v1` document             |
 //! | GET       | `/jobs/<id>/result.kv` | result counters; `202` until terminal    |
 //! | GET       | `/jobs/<id>/events`    | chunked `progress.jsonl` stream          |
@@ -114,7 +113,7 @@ impl Server {
                 state.purge_speculation();
                 state.outstanding() == 0
             },
-            |stream, peer| handle_conn(state, stream, peer),
+            |stream| handle_conn(state, stream),
         )?;
         self.state.queue.close();
         for h in self.workers {
@@ -164,7 +163,7 @@ fn spawn_sampler(state: &Arc<ServerState>) -> Option<JoinHandle<()>> {
         .ok()
 }
 
-fn handle_conn(state: &Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
+fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
     let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
@@ -173,13 +172,10 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
     };
     let mut reader = BufReader::new(read_half);
     let mut w = CountingWriter::new(BufWriter::new(stream));
-    // The peer IP (not the ephemeral port) keys the predictor's
-    // per-client history: one client's sweep walk is one history.
-    let client = peer.ip().to_string();
     let t = Instant::now();
     match http::read_request(&mut reader) {
         Ok(req) => {
-            if let Ok(status) = route(state, &req, &client, &mut w) {
+            if let Ok(status) = route(state, &req, &mut w) {
                 let _ = w.flush();
                 let dur_us = t.elapsed().as_micros() as u64;
                 state
@@ -206,20 +202,11 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream, peer: SocketAddr) {
 
 /// Dispatch one request; returns the response status actually written (for
 /// the request metrics and the access log).
-fn route<W: Write>(
-    state: &Arc<ServerState>,
-    req: &Request,
-    client: &str,
-    w: &mut W,
-) -> io::Result<u16> {
+fn route<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Result<u16> {
     let method = req.method.as_str();
     match req.path.as_str() {
         "/jobs" => match method {
-            "POST" => submit(state, req, client, w),
-            _ => method_not_allowed(w, "POST"),
-        },
-        "/hints" => match method {
-            "POST" => hint(state, req, w),
+            "POST" => submit(state, req, w),
             _ => method_not_allowed(w, "POST"),
         },
         "/stats" => match method {
@@ -311,12 +298,7 @@ fn method_not_allowed<W: Write>(w: &mut W, allow: &str) -> io::Result<u16> {
     Ok(405)
 }
 
-fn submit<W: Write>(
-    state: &Arc<ServerState>,
-    req: &Request,
-    client: &str,
-    w: &mut W,
-) -> io::Result<u16> {
+fn submit<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Result<u16> {
     let body = match req.body_utf8() {
         Ok(b) => b,
         Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
@@ -325,7 +307,7 @@ fn submit<W: Write>(
         Ok(s) => s,
         Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
     };
-    match state.submit_with_client(spec, client) {
+    match state.submit(spec) {
         Ok(slot) => reply_json(w, 200, "OK", &slot.record().to_json()),
         Err(e) => {
             let msg = match e {
@@ -350,26 +332,6 @@ fn submit<W: Write>(
             Ok(503)
         }
     }
-}
-
-/// `POST /hints` — a routing-tier speculation hint.  The body is the same
-/// job-spec JSON as `POST /jobs`, but acceptance is best-effort and never
-/// promises execution: the spec is offered to the low-priority speculative
-/// lane ([`ServerState::submit_hint`]) and the answer merely reports
-/// whether a speculation was started.  Always `200` for a parseable spec —
-/// hints are advisory, so a daemon without `--speculate` answers
-/// `{"accepted":false}` rather than erroring.
-fn hint<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Result<u16> {
-    let body = match req.body_utf8() {
-        Ok(b) => b,
-        Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
-    };
-    let spec = match crate::job::JobSpec::parse(body) {
-        Ok(s) => s,
-        Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
-    };
-    let accepted = state.submit_hint(spec);
-    reply_json(w, 200, "OK", &format!("{{\"accepted\":{accepted}}}"))
 }
 
 /// How long a refused submitter should wait before retrying: the time the

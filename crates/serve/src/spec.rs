@@ -2,14 +2,15 @@
 //!
 //! The paper's wrong-path loads warm the WEC so later correct-path work
 //! hits; wec-serve replays that one layer up.  Idle workers pre-execute
-//! the sweep points the predictor ([`crate::predict`]) expects next, park
-//! the results in the same warm memo / disk store demand jobs use, and a
-//! later matching `POST /jobs` is answered as a warm hit byte-identical to
-//! an on-demand run.  This module holds the pieces that are not the queue
-//! or the predictor: the configuration ([`SpecConfig`]), the stats block
-//! surfaced in `/stats` v2 and `/metrics` ([`SpecStats`]), and the
-//! ready-result index ([`SpecReady`]) that distinguishes a *speculative*
-//! warm hit (credit the prefetcher) from an ordinary memo hit.
+//! the sweep-axis neighbourhood ([`crate::predict::neighbourhood`]) of
+//! every demand submission, park the results in the same warm memo /
+//! disk store demand jobs use, and a later matching `POST /jobs` is
+//! answered as a warm hit byte-identical to an on-demand run.  This
+//! module holds the pieces that are not the queue or the candidate rule:
+//! the lane's limits ([`SpecConfig`]), the stats block surfaced in
+//! `/stats` v2 and `/metrics` ([`SpecStats`]), and the ready-result index
+//! ([`SpecReady`]) that distinguishes a *speculative* warm hit (credit
+//! the prefetcher) from an ordinary memo hit.
 //!
 //! Every started speculation reaches exactly one terminal account:
 //!
@@ -30,11 +31,10 @@ use std::time::Duration;
 
 use crate::lock;
 
-/// Tuning for the speculation subsystem (`--speculate` and friends).
+/// Limits of the speculative lane (`--speculate` takes the defaults;
+/// tests shrink them to reach the lane-full and TTL paths).
 #[derive(Clone, Debug)]
 pub struct SpecConfig {
-    /// Max candidate jobs the predictor enqueues per demand submission.
-    pub fanout: usize,
     /// Capacity of the low-priority speculative lane.
     pub queue_cap: usize,
     /// Max speculative jobs running on workers at once.
@@ -47,7 +47,6 @@ pub struct SpecConfig {
 impl Default for SpecConfig {
     fn default() -> SpecConfig {
         SpecConfig {
-            fanout: 4,
             queue_cap: 64,
             inflight_max: 2,
             ttl: Duration::from_secs(30),
@@ -64,7 +63,7 @@ pub struct SpecStats {
     /// Demand submissions answered by a speculation (claimed while
     /// queued/running, or a parked ready result).
     pub hit: u64,
-    /// Demand cold-path submissions the predictor failed to anticipate.
+    /// Demand cold-path submissions no speculation anticipated.
     /// Not part of the conservation sum — misses are demand jobs, not
     /// speculations.
     pub miss: u64,

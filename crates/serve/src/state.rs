@@ -15,12 +15,13 @@
 //!    so daemon and CLI warm each other across restarts, and a served
 //!    result is byte-identical to a direct run's cache entry.
 //!
-//! With `--speculate` a fourth layer sits in front of all three: the
-//! predictor ([`crate::predict`]) turns each demand submission into
-//! candidate *next* jobs, idle workers pre-execute them through the same
-//! `complete()` path, and [`crate::spec::SpecReady`] marks which parked
-//! memo entries were produced ahead of demand so the first claimant is
-//! counted (and labeled `source:"spec"`) as a speculative warm hit.
+//! With `--speculate` a fourth layer sits in front of all three: each
+//! accepted demand submission enqueues its sweep-axis neighbourhood
+//! ([`crate::predict::neighbourhood`]) on the low-priority lane, idle
+//! workers pre-execute it through the same `complete()` path, and
+//! [`crate::spec::SpecReady`] marks which parked memo entries were
+//! produced ahead of demand so the first claimant is counted (and
+//! labeled `source:"spec"`) as a speculative warm hit.
 //!
 //! Lock ordering: `inflight` may be held while taking a job slot's lock
 //! (submission); a slot's lock is never held while taking `inflight`
@@ -51,7 +52,7 @@ use wec_workloads::{Bench, Scale};
 use crate::job::{JobAttr, JobRecord, JobSpec, JobState};
 use crate::lock;
 use crate::metrics::ServeMetrics;
-use crate::predict::Predictor;
+use crate::predict::neighbourhood;
 use crate::queue::{JobQueue, Promote, PushError};
 use crate::ringbuf::{RingBuffer, ServiceSample};
 use crate::spec::{SpecConfig, SpecReady, SpecStats};
@@ -312,8 +313,6 @@ pub struct ServerState {
     pub sampler_stop: AtomicBool,
     /// Speculative results produced ahead of demand and not yet claimed.
     spec_ready: SpecReady,
-    /// The next-job predictor (`Some` iff `cfg.spec` is).
-    predictor: Option<Predictor>,
     /// `cfg.backend_id` as a shared slice, stamped into every record.
     backend_id: Option<Arc<str>>,
 }
@@ -337,7 +336,6 @@ impl ServerState {
             None => JobQueue::new(cfg.queue_cap),
             Some(sc) => JobQueue::with_spec(cfg.queue_cap, sc.queue_cap, sc.inflight_max),
         };
-        let predictor = cfg.spec.as_ref().map(|sc| Predictor::new(sc.fanout));
         let backend_id = cfg.backend_id.as_deref().map(Arc::from);
         let ring_cap = cfg.ring_cap;
         Ok(Arc::new(ServerState {
@@ -361,7 +359,6 @@ impl ServerState {
             samples: RingBuffer::new(ring_cap),
             sampler_stop: AtomicBool::new(false),
             spec_ready: SpecReady::new(),
-            predictor,
             backend_id,
         }))
     }
@@ -390,30 +387,20 @@ impl ServerState {
         self.outstanding.load(Ordering::SeqCst)
     }
 
-    /// Submit one job.  Returns the (possibly shared) slot; the caller
-    /// renders its record.
+    /// Submit one demand job.  Returns the (possibly shared) slot; the
+    /// caller renders its record.  When speculation is on, an accepted
+    /// submission also reaps stale speculations and enqueues the spec's
+    /// sweep-axis neighbourhood.
     pub fn submit(&self, spec: JobSpec) -> Result<Arc<JobSlot>, SubmitError> {
-        self.submit_with_client(spec, "anon")
-    }
-
-    /// Submit one demand job on behalf of `client` (the peer address —
-    /// the predictor's per-client history key).  When speculation is on,
-    /// an accepted submission also reaps stale speculations and enqueues
-    /// the predictor's candidates for this client's likely next asks.
-    pub fn submit_with_client(
-        &self,
-        spec: JobSpec,
-        client: &str,
-    ) -> Result<Arc<JobSlot>, SubmitError> {
-        let speculating = self.predictor.is_some();
-        let to_predict = if speculating { Some(spec.clone()) } else { None };
+        if self.cfg.spec.is_none() {
+            return self.submit_demand(spec);
+        }
+        let next = neighbourhood(&spec);
         let out = self.submit_demand(spec);
-        if let (Ok(_), Some(spec)) = (&out, to_predict) {
+        if out.is_ok() {
             self.reap_stale();
-            if let Some(p) = &self.predictor {
-                for cand in p.predict(client, &spec) {
-                    self.spec_submit(cand);
-                }
+            for cand in next {
+                self.spec_submit(cand);
             }
         }
         out
@@ -515,8 +502,8 @@ impl ServerState {
                 inflight.insert(key, id);
                 let mut c = lock(&self.counts);
                 c.submitted += 1;
-                if self.predictor.is_some() {
-                    // The predictor failed to anticipate this demand.
+                if self.cfg.spec.is_some() {
+                    // No speculation anticipated this demand.
                     c.spec_miss += 1;
                 }
                 Ok(slot)
@@ -533,7 +520,7 @@ impl ServerState {
         }
     }
 
-    /// Enqueue one predicted job on the speculative lane.  Silently a
+    /// Enqueue one candidate job on the speculative lane.  Silently a
     /// no-op if the key is already in flight, memoized, or the lane is
     /// full — speculation never generates errors, only missed chances.
     /// Returns whether a speculation was actually started.
@@ -568,20 +555,6 @@ impl ServerState {
         }
     }
 
-    /// A routing-tier speculation hint (`POST /hints`): enqueue `spec` on
-    /// the low-priority lane exactly as a locally predicted candidate
-    /// would be.  Returns whether a speculation was started — `false`
-    /// when speculation is off, the daemon is draining, the point is
-    /// already in flight or memoized, or the lane is full.  Hints share
-    /// the local ledger (`started`, then hit/waste/cancelled/pending), so
-    /// cluster-level conservation needs no extra counters.
-    pub fn submit_hint(&self, spec: JobSpec) -> bool {
-        if self.cfg.spec.is_none() {
-            return false;
-        }
-        self.spec_submit(spec)
-    }
-
     /// Record a job's terminal outcome: publish the memo, release the
     /// dedup entry, count it, then fill the record, log it and wake every
     /// waiter.  The terminal state is published last, so anyone who reads
@@ -603,7 +576,7 @@ impl ServerState {
         self.publish_terminal(slot, &res, None);
     }
 
-    /// Terminal accounting for a job the predictor started.  Takes the
+    /// Terminal accounting for a job speculation started.  Takes the
     /// dedup index lock *first* (claims always hold it), so "did demand
     /// claim this before it finished?" has exactly one answer — a claimed
     /// speculation completes like any demand job, an unclaimed one parks
@@ -1008,7 +981,6 @@ mod tests {
             store: None,
             log_dir: None,
             spec: Some(SpecConfig {
-                fanout: 2,
                 queue_cap: 8,
                 inflight_max: 1,
                 ttl,
@@ -1193,24 +1165,19 @@ mod tests {
     }
 
     #[test]
-    fn hints_feed_the_spec_lane_and_share_the_conservation_ledger() {
-        // Speculation off: hints are refused, nothing counted.
-        let s = state();
-        assert!(!s.submit_hint(spec("{\"bench\": \"181.mcf\"}")));
-        assert!(s.snapshot().spec.is_none());
-
+    fn spec_submit_parks_one_speculation_and_refuses_while_draining() {
         let s = spec_state(2, Duration::from_secs(600));
-        assert!(s.submit_hint(spec("{\"bench\": \"181.mcf\"}")));
+        assert!(s.spec_submit(spec("{\"bench\": \"181.mcf\"}")));
         assert_eq!(spec_counters(&s).started, 1);
-        assert_eq!(s.queue.spec_depth(), 1, "hint parked on the spec lane");
+        assert_eq!(s.queue.spec_depth(), 1, "parked on the spec lane");
         assert_eq!(s.queue.depth(), 0, "demand lane untouched");
-        // A duplicate hint is a silent no-op (already in flight).
-        assert!(!s.submit_hint(spec("{\"bench\": \"181.mcf\"}")));
+        // A duplicate is a silent no-op (already in flight).
+        assert!(!s.spec_submit(spec("{\"bench\": \"181.mcf\"}")));
         assert_eq!(spec_counters(&s).started, 1);
         assert_conserved(&s);
-        // Draining refuses hints outright.
+        // Draining refuses speculation outright.
         s.draining.store(true, Ordering::SeqCst);
-        assert!(!s.submit_hint(spec("{\"bench\": \"164.gzip\"}")));
+        assert!(!s.spec_submit(spec("{\"bench\": \"164.gzip\"}")));
         assert_eq!(spec_counters(&s).started, 1);
     }
 
@@ -1397,15 +1364,15 @@ mod tests {
         let s = spec_state(4, Duration::from_secs(600));
         s.submit(spec("{\"bench\": \"181.mcf\"}")).unwrap();
         let cnt = spec_counters(&s);
-        assert_eq!(cnt.miss, 1, "cold demand the predictor never saw coming");
-        assert_eq!(cnt.started, 2, "fanout-2 candidates enqueued");
-        assert_eq!(s.queue.spec_depth(), 2);
+        assert_eq!(cnt.miss, 1, "cold demand no speculation saw coming");
+        assert_eq!(cnt.started, 4, "the four-point neighbourhood enqueued");
+        assert_eq!(s.queue.spec_depth(), 4);
         assert_eq!(s.queue.depth(), 1, "demand lane untouched by speculation");
         assert_conserved(&s);
         // Drain purge reclaims everything queued speculatively.
         s.purge_speculation();
         let cnt = spec_counters(&s);
-        assert_eq!(cnt.cancelled, 2);
+        assert_eq!(cnt.cancelled, 4);
         assert_eq!((cnt.pending, s.queue.spec_depth() as u64), (0, 0));
         assert_eq!(s.outstanding(), 1, "the demand job itself remains");
         schema::validate_serve_stats_json(&s.stats_json()).unwrap();

@@ -56,7 +56,6 @@ fn spec_cfg(store: PathBuf, log_dir: Option<PathBuf>) -> ServeConfig {
         store: Some(store),
         log_dir,
         spec: Some(SpecConfig {
-            fanout: 4,
             queue_cap: 16,
             inflight_max: 2,
             ttl: Duration::from_secs(600),

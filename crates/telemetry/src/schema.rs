@@ -1310,24 +1310,9 @@ pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, S
     require_u64(router, "retries", &rctx)?;
     require_u64(router, "resharded", &rctx)?;
     require_u64(router, "rejected", &rctx)?;
-    let hints_sent = require_u64(router, "hints_sent", &rctx)?;
-    let hints_accepted = require_u64(router, "hints_accepted", &rctx)?;
-    if hints_accepted > hints_sent {
-        return Err(format!(
-            "{rctx}: hints_accepted {hints_accepted} exceeds hints_sent {hints_sent}"
-        ));
-    }
     no_extra_fields(
         router,
-        &[
-            "requests",
-            "proxied",
-            "retries",
-            "resharded",
-            "rejected",
-            "hints_sent",
-            "hints_accepted",
-        ],
+        &["requests", "proxied", "retries", "resharded", "rejected"],
         &rctx,
     )?;
 
