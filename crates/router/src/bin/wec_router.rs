@@ -11,8 +11,9 @@
 //! Defaults: listen on `127.0.0.1:8410`, probe `/healthz` every 500 ms,
 //! declare a backend dead after 3 consecutive failures, retry a
 //! queue-full `503` twice against the owner (waiting out `Retry-After`
-//! up to `--backoff-ms`, default 1000), 10 s per-exchange timeout, 30 s
-//! per-read events-relay timeout.  `--backend` is repeatable and at
+//! up to `--backoff-ms`, default 1000), 10 s per-exchange timeout (also
+//! the idle limit of a kept client connection), 30 s per-read
+//! events-relay timeout.  `--backend` is repeatable and at
 //! least one is required; the listed addresses define the rendezvous
 //! ring, so every router fronting the same fleet must list the same
 //! addresses.  With `--log-dir` the router writes `router.json`

@@ -11,16 +11,15 @@
 //! drained) is answered from disk instead of recomputed.
 //!
 //! Same house style as the serve daemon it fronts: std-only, no async
-//! runtime, no HTTP library — hand-rolled framing ([`wec_serve::http`] on
-//! the inbound side, [`client`] on the outbound side), the serve daemon's
-//! blocking accept-and-drain loop ([`wec_serve::daemon`]), one
-//! short-lived thread per connection.
+//! runtime, no HTTP library — hand-rolled framing in both directions
+//! ([`wec_serve::http`]: the request parser, the response writer, and the
+//! pooled outbound client each backend owns), the serve daemon's
+//! blocking accept-and-drain loop and keep-alive connection loop
+//! ([`wec_serve::daemon`]), one thread per connection.
 //!
-//! * [`ring`] — the backend table: rendezvous hashing, health state
-//!   (healthy / draining / dead), and the health-check pass;
-//! * [`client`] — the outbound HTTP/1.1 client: one request per
-//!   connection, fixed-length and chunked response bodies, plus the
-//!   verbatim byte relay behind the proxied `/jobs/<id>/events` stream;
+//! * [`ring`] — the backend table: rendezvous hashing, each backend's
+//!   client, health state (healthy / draining / dead), and the
+//!   health-check pass;
 //! * [`state`] — shared counters, the composite job-id scheme
 //!   (`backend << 48 | local`), live backend scrapes, and the
 //!   `wec-router-stats-v1` / Prometheus renderers whose cluster roll-up
@@ -30,12 +29,10 @@
 //!
 //! Binary: `wec_router`.
 
-pub mod client;
 pub mod ring;
 pub mod server;
 pub mod state;
 
-pub use client::Response;
 pub use ring::{Backend, BackendState, Ring};
 pub use server::Router;
 pub use state::{RouterConfig, RouterState};

@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::{client, lock};
+use wec_serve::http::Client;
+
+use crate::lock;
 
 /// Health of one backend, as last observed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,12 +51,13 @@ impl BackendState {
     }
 }
 
-/// One backend: its configured address, its display identity (adopted
-/// from the backend's own `--backend-id` once scraped), and its observed
-/// health.  All mutation is atomic — the health thread, the proxy
-/// threads, and the stats scraper touch this concurrently.
+/// One backend: the client for its configured address (which keeps the
+/// backend's idle connections), its display identity (adopted from the
+/// backend's own `--backend-id` once scraped), and its observed health.
+/// All mutation is atomic — the health thread, the proxy threads, and the
+/// stats scraper touch this concurrently.
 pub struct Backend {
-    pub addr: String,
+    pub client: Client,
     /// Display id; starts as `addr`, replaced by the backend's announced
     /// `backend_id` at first successful stats scrape.
     id: Mutex<String>,
@@ -67,12 +70,16 @@ pub struct Backend {
 impl Backend {
     pub fn new(addr: &str) -> Backend {
         Backend {
-            addr: addr.to_string(),
+            client: Client::new(addr),
             id: Mutex::new(addr.to_string()),
             state: AtomicU8::new(0),
             consecutive_failures: AtomicU32::new(0),
             routed: AtomicU64::new(0),
         }
+    }
+
+    pub fn addr(&self) -> &str {
+        self.client.addr()
     }
 
     pub fn id(&self) -> String {
@@ -183,7 +190,7 @@ impl Ring {
             .backends
             .iter()
             .enumerate()
-            .map(|(i, b)| (weight(key, &b.addr), i))
+            .map(|(i, b)| (weight(key, b.addr()), i))
             .collect();
         order.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         order.into_iter().map(|(_, i)| i).collect()
@@ -196,13 +203,13 @@ impl Ring {
             .find(|&i| self.backends[i].routable())
     }
 
-    /// One health pass: probe every backend's `/healthz` and fold the
-    /// answers into the ring.  A healthy answer with `"draining":true`
-    /// marks the backend draining; a healthy answer without it clears a
-    /// previous draining mark (the daemon restarted).
+    /// One health pass: probe every backend's `/healthz`, each on a fresh
+    /// connection, and fold the answers into the ring.  A healthy answer
+    /// with `"draining":true` marks the backend draining; a healthy answer
+    /// without it clears a previous draining mark (the daemon restarted).
     pub fn health_pass(&self, timeout: Duration, dead_after: u32) {
         for b in &self.backends {
-            match client::request(&b.addr, "GET", "/healthz", None, timeout) {
+            match b.client.probe("/healthz", timeout) {
                 Ok(resp) if resp.status == 200 => {
                     b.record_success();
                     let draining = resp

@@ -1,13 +1,15 @@
 //! The router's request routing and graceful drain.
 //!
 //! Same concurrency shape as the serve daemon it fronts, on the same
-//! blocking accept-and-drain loop ([`wec_serve::daemon`]): one
-//! short-lived thread per connection, one request per connection
-//! (`Connection: close`).  A background health thread probes every
-//! backend's `/healthz` on a fixed interval;
-//! connection threads only *read* ring state (plus failure bookkeeping
-//! on exchanges they themselves attempted), so routing never blocks on
-//! probes.
+//! blocking accept-and-drain loop and connection loop
+//! ([`wec_serve::daemon`]): one thread per connection, answering requests
+//! until the connection ends (HTTP/1.1 keep-alive).  Each backend's
+//! [`wec_serve::http::Client`] keeps a few idle connections to it, so a
+//! proxied request or a stats scrape usually skips the connect.  A
+//! background health thread probes every backend's `/healthz` on a fixed
+//! interval, on a fresh connection each time; connection threads only
+//! *read* ring state (plus failure bookkeeping on exchanges they
+//! themselves attempted), so routing never blocks on probes.
 //!
 //! Submit routing walks the rendezvous order for the job's dedup key:
 //!
@@ -34,28 +36,19 @@
 //! | GET       | `/metrics`           | Prometheus exposition (live cluster scrape) |
 //! | POST      | `/shutdown`          | begin graceful drain (writes `router.json`) |
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wec_serve::daemon;
-use wec_serve::http::{self, Request};
+use wec_serve::daemon::{self, Service};
+use wec_serve::http::{error_json, Reply, Request, Response};
 use wec_serve::JobSpec;
-use wec_telemetry::json::escape_into;
 
-use crate::client::{self, Response};
 use crate::ring::Backend;
 use crate::state::{decode_id, rewrite_record_id, RouterConfig, RouterState};
-
-fn error_json(msg: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    escape_into(&mut out, msg);
-    out.push('}');
-    out
-}
 
 /// The router: a bound listener plus its health thread.
 pub struct Router {
@@ -97,8 +90,8 @@ impl Router {
     }
 
     /// Serve until drained: accept until shutdown is requested and no
-    /// connection is open, answer every connection still queued, then stop
-    /// the health thread and write `router.json`.
+    /// request is being handled, answer every connection still queued,
+    /// then stop the health thread and write `router.json`.
     pub fn run(self) -> io::Result<()> {
         let state = &self.state;
         // `daemon::run` joins every connection thread before it returns,
@@ -107,12 +100,9 @@ impl Router {
             &self.listener,
             "wec-router",
             &state.draining,
+            state.cfg.io_timeout,
             || state.inflight.load(Ordering::SeqCst) == 0,
-            |stream| {
-                state.inflight.fetch_add(1, Ordering::SeqCst);
-                handle_conn(state, stream);
-                state.inflight.fetch_sub(1, Ordering::SeqCst);
-            },
+            &**state,
         )?;
         self.health_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.health {
@@ -145,41 +135,30 @@ fn spawn_health(state: &Arc<RouterState>, stop: &Arc<AtomicBool>) -> Option<Join
         .ok()
 }
 
-fn handle_conn(state: &Arc<RouterState>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
-    let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut w = BufWriter::new(stream);
-    match http::read_request(&mut reader) {
-        Ok(req) => {
-            state.requests.fetch_add(1, Ordering::SeqCst);
-            let _ = route(state, &req, &mut w);
-        }
-        Err(e) => {
-            if let Some(msg) = e.client_message() {
-                state.requests.fetch_add(1, Ordering::SeqCst);
-                let _ = http::write_json(&mut w, 400, "Bad Request", &error_json(msg));
-            }
-        }
+impl Service for RouterState {
+    fn route<W: Write>(&self, req: &Request, reply: &mut Reply<'_, W>) -> io::Result<u16> {
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+        let status = route(self, req, reply);
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        status
     }
-    let _ = w.flush();
+
+    fn answered(&self, _req: Option<&Request>, _status: u16, _dur_us: u64, _bytes: u64) {
+        self.requests.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
-fn route<W: Write>(state: &Arc<RouterState>, req: &Request, w: &mut W) -> io::Result<u16> {
+fn route<W: Write>(state: &RouterState, req: &Request, w: &mut Reply<'_, W>) -> io::Result<u16> {
     let method = req.method.as_str();
     match req.path.as_str() {
         "/jobs" => match method {
             "POST" => submit(state, req, w),
-            _ => method_not_allowed(w, "POST"),
+            _ => w.method_not_allowed("POST"),
         },
         "/stats" => match method {
-            "GET" => reply_json(w, 200, "OK", &state.stats_json()),
-            "HEAD" => reply_head(w, &state.stats_json()),
-            _ => method_not_allowed(w, "GET, HEAD"),
+            "GET" => w.json(200, "OK", &state.stats_json()),
+            "HEAD" => w.json_head(&state.stats_json()),
+            _ => w.method_not_allowed("GET, HEAD"),
         },
         "/healthz" => {
             let body = format!(
@@ -187,78 +166,46 @@ fn route<W: Write>(state: &Arc<RouterState>, req: &Request, w: &mut W) -> io::Re
                 state.draining.load(Ordering::SeqCst)
             );
             match method {
-                "GET" => reply_json(w, 200, "OK", &body),
-                "HEAD" => reply_head(w, &body),
-                _ => method_not_allowed(w, "GET, HEAD"),
+                "GET" => w.json(200, "OK", &body),
+                "HEAD" => w.json_head(&body),
+                _ => w.method_not_allowed("GET, HEAD"),
             }
         }
         "/metrics" => match method {
             "GET" => {
                 let page = state.render_prometheus(&state.scrape_backends());
-                http::write_response(
-                    w,
-                    200,
-                    "OK",
-                    "text/plain; version=0.0.4",
-                    page.as_bytes(),
-                    &[],
-                )?;
-                Ok(200)
+                w.send(200, "OK", "text/plain; version=0.0.4", page.as_bytes(), &[])
             }
-            _ => method_not_allowed(w, "GET"),
+            _ => w.method_not_allowed("GET"),
         },
         "/shutdown" => match method {
             "POST" => {
                 state.draining.store(true, Ordering::SeqCst);
-                reply_json(w, 200, "OK", "{\"draining\":true}")
+                w.json(200, "OK", "{\"draining\":true}")
             }
-            _ => method_not_allowed(w, "POST"),
+            _ => w.method_not_allowed("POST"),
         },
         path => match path.strip_prefix("/jobs/") {
             Some(rest) => job_route(state, method, rest, w),
-            None => reply_json(w, 404, "Not Found", &error_json("no such endpoint")),
+            None => w.error(404, "Not Found", "no such endpoint"),
         },
     }
 }
 
-fn reply_json<W: Write>(w: &mut W, status: u16, reason: &str, body: &str) -> io::Result<u16> {
-    http::write_json(w, status, reason, body)?;
-    Ok(status)
-}
-
-fn reply_head<W: Write>(w: &mut W, body: &str) -> io::Result<u16> {
-    http::write_head_only(w, 200, "OK", "application/json", body.len())?;
-    Ok(200)
-}
-
-fn method_not_allowed<W: Write>(w: &mut W, allow: &str) -> io::Result<u16> {
-    http::write_response(
-        w,
-        405,
-        "Method Not Allowed",
-        "application/json",
-        error_json("method not allowed").as_bytes(),
-        &[("Allow", allow.to_string())],
-    )?;
-    Ok(405)
-}
-
 fn reply_503<W: Write>(
     state: &RouterState,
-    w: &mut W,
+    w: &mut Reply<'_, W>,
     msg: &str,
     retry_after: &str,
 ) -> io::Result<u16> {
     state.rejected.fetch_add(1, Ordering::SeqCst);
-    http::write_response(
-        w,
+    w.send(
         503,
         "Service Unavailable",
         "application/json",
         error_json(msg).as_bytes(),
         &[("Retry-After", retry_after.to_string())],
-    )?;
-    Ok(503)
+    )
 }
 
 /// The outcome of trying one backend for a submit.
@@ -277,13 +224,10 @@ enum Attempt {
 fn try_backend(state: &RouterState, backend: &Backend, body: &[u8]) -> Attempt {
     let mut attempt = 0u32;
     loop {
-        let resp = match client::request(
-            &backend.addr,
-            "POST",
-            "/jobs",
-            Some(body),
-            state.cfg.io_timeout,
-        ) {
+        let resp = match backend
+            .client
+            .request("POST", "/jobs", Some(body), state.cfg.io_timeout)
+        {
             Ok(r) => r,
             Err(_) => return Attempt::Failed,
         };
@@ -310,19 +254,19 @@ fn try_backend(state: &RouterState, backend: &Backend, body: &[u8]) -> Attempt {
     }
 }
 
-fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut W) -> io::Result<u16> {
+fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut Reply<'_, W>) -> io::Result<u16> {
     if state.draining.load(Ordering::SeqCst) {
         return reply_503(state, w, "draining, not accepting jobs", "1");
     }
     let body = match req.body_utf8() {
         Ok(b) => b,
-        Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
+        Err(e) => return w.error(400, "Bad Request", &e),
     };
     // The router validates before routing: a malformed spec has no dedup
     // key to hash, and bouncing it here keeps garbage off the backends.
     let key = match JobSpec::parse(body) {
         Ok(s) => s.dedup_key(),
-        Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
+        Err(e) => return w.error(400, "Bad Request", &e),
     };
 
     let order = state.ring.candidates(&key);
@@ -346,26 +290,23 @@ fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut W) -> io::Result
                     state.proxied.fetch_add(1, Ordering::SeqCst);
                     let body = resp.body_utf8().ok().and_then(|b| rewrite_record_id(b, idx));
                     return match body {
-                        Some(b) => reply_json(w, 200, "OK", &b),
-                        None => reply_json(
-                            w,
+                        Some(b) => w.json(200, "OK", &b),
+                        None => w.error(
                             502,
                             "Bad Gateway",
-                            &error_json("backend answered an unrewritable record"),
+                            "backend answered an unrewritable record",
                         ),
                     };
                 }
                 // Backend-blamed answers (400 etc.) pass through as-is.
                 let reason = if resp.status == 400 { "Bad Request" } else { "Bad Gateway" };
-                http::write_response(
-                    w,
+                return w.send(
                     resp.status,
                     reason,
                     resp.header("Content-Type").unwrap_or("application/json"),
                     &resp.body,
                     &[],
-                )?;
-                return Ok(resp.status);
+                );
             }
             Attempt::QueueFull(resp) => {
                 // The owner is alive but saturated; moving the key would
@@ -389,10 +330,10 @@ fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut W) -> io::Result
 /// backend under its local id, and rewrite the id on record-shaped
 /// answers.  `events` streams are relayed verbatim.
 fn job_route<W: Write>(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     method: &str,
     rest: &str,
-    w: &mut W,
+    w: &mut Reply<'_, W>,
 ) -> io::Result<u16> {
     let mut parts = rest.splitn(2, '/');
     let id_text = parts.next().unwrap_or("");
@@ -402,10 +343,10 @@ fn job_route<W: Write>(
         .ok()
         .and_then(|rid| decode_id(rid, state.ring.backends.len()));
     let Some((idx, local)) = decoded else {
-        return reply_json(w, 404, "Not Found", &error_json("no such job"));
+        return w.error(404, "Not Found", "no such job");
     };
     if method != "GET" {
-        return method_not_allowed(w, "GET");
+        return w.method_not_allowed("GET");
     }
     let backend = &state.ring.backends[idx];
     let path = match sub {
@@ -417,21 +358,24 @@ fn job_route<W: Write>(
         // Verbatim byte relay: the backend's chunked response IS the
         // response.  Nothing has been written yet, so a connect failure
         // can still be answered properly.
-        return match client::relay(
-            &backend.addr,
+        let relayed = backend.client.relay(
             &path,
-            w,
+            w.raw(),
             state.cfg.io_timeout,
             state.cfg.events_timeout,
-        ) {
+        );
+        return match relayed {
             Ok(_) => Ok(200),
-            Err(_) => reply_json(w, 502, "Bad Gateway", &error_json("backend unreachable")),
+            Err(_) => w.error(502, "Bad Gateway", "backend unreachable"),
         };
     }
 
-    let resp = match client::request(&backend.addr, "GET", &path, None, state.cfg.io_timeout) {
+    let resp = match backend
+        .client
+        .request("GET", &path, None, state.cfg.io_timeout)
+    {
         Ok(r) => r,
-        Err(_) => return reply_json(w, 502, "Bad Gateway", &error_json("backend unreachable")),
+        Err(_) => return w.error(502, "Bad Gateway", "backend unreachable"),
     };
     // Record-shaped bodies (the record GET, and 202 answers on result.kv
     // and attribution) get their id rewritten; everything else — result
@@ -448,13 +392,11 @@ fn job_route<W: Write>(
         500 => "Internal Server Error",
         _ => "",
     };
-    http::write_response(
-        w,
+    w.send(
         resp.status,
         reason,
         resp.header("Content-Type").unwrap_or("application/json"),
         &body,
         &[],
-    )?;
-    Ok(resp.status)
+    )
 }

@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use wec_telemetry::json::{escape_into, Json};
 use wec_telemetry::{json, schema};
 
-use crate::client;
 use crate::ring::{BackendState, Ring};
 
 /// Bits of a composite id that carry the backend-local job id.
@@ -81,7 +80,8 @@ pub struct RouterConfig {
     /// honored up to this cap — a proxy holding a client connection
     /// cannot sleep the tens of seconds a deep queue may advertise.
     pub backoff_cap: Duration,
-    /// Per-exchange timeout for proxied requests, probes and scrapes.
+    /// Per-exchange timeout for proxied requests, probes and scrapes, and
+    /// how long a kept client connection may sit idle between requests.
     pub io_timeout: Duration,
     /// Per-read timeout while relaying a `/jobs/<id>/events` stream
     /// (the gap between progress chunks, not the whole stream).
@@ -125,7 +125,7 @@ pub struct RouterState {
     /// Submits answered `503` by the router (no routable backend, or the
     /// owner's queue-full passed through after the retry budget).
     pub rejected: AtomicU64,
-    /// Open connections; drain waits for this to reach zero.
+    /// Requests being handled; drain waits for this to reach zero.
     pub inflight: AtomicU64,
 }
 
@@ -173,7 +173,9 @@ impl RouterState {
             .backends
             .iter()
             .map(|b| {
-                let stats = client::request(&b.addr, "GET", "/stats", None, self.cfg.io_timeout)
+                let stats = b
+                    .client
+                    .request("GET", "/stats", None, self.cfg.io_timeout)
                     .ok()
                     .filter(|r| r.status == 200)
                     .and_then(|r| {
@@ -189,7 +191,7 @@ impl RouterState {
                 }
                 BackendScrape {
                     id: b.id(),
-                    addr: b.addr.clone(),
+                    addr: b.addr().to_string(),
                     state: b.state(),
                     consecutive_failures: b.failures(),
                     routed: b.routed.load(Ordering::SeqCst),

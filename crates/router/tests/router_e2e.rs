@@ -17,26 +17,24 @@
 //! - every `/stats` scrape and the drain-time `router.json` conserve
 //!   (cluster totals == sum of embedded backend ledgers).
 
-use std::io::{Read, Write};
+#[path = "../../serve/tests/support/mod.rs"]
+mod support;
+
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use support::*;
 use wec_router::state::LOCAL_ID_BITS;
-use wec_router::{Ring, Router, RouterConfig, RouterState};
+use wec_router::{BackendState, Ring, Router, RouterConfig, RouterState};
+use wec_serve::http::read_request;
 use wec_serve::predict::{neighbourhood, SIDE_AXIS, WAYS_AXIS};
 use wec_serve::{JobSpec, ServeConfig, Server, SpecConfig};
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wec-router-e2e-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 type ServerHandle = (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>);
 
@@ -78,91 +76,6 @@ fn start_router_on(bind: &str, cfg: RouterConfig) -> RouterHandle {
     (state, addr, handle)
 }
 
-/// Write raw bytes, half-close, read the whole response.
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let _ = s.write_all(raw);
-    let _ = s.shutdown(std::net::Shutdown::Write);
-    let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
-    out
-}
-
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
-}
-
-fn raw_request(method: &str, path: &str, body: Option<&str>) -> String {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    raw
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    parse_response(&send_raw(addr, raw_request(method, path, body).as_bytes()))
-}
-
-fn poll_terminal(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let v = json::parse(&body).unwrap();
-        let state = v.get("state").and_then(Json::as_str).unwrap().to_string();
-        if state == "done" || state == "failed" {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "job {id} stuck in {state}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 fn poll_until(what: &str, f: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while !f() {
@@ -171,49 +84,71 @@ fn poll_until(what: &str, f: impl Fn() -> bool) {
     }
 }
 
-fn u64_at(v: &Json, path: &[&str]) -> u64 {
-    let mut cur = v;
-    for p in path {
-        cur = cur.get(p).unwrap_or_else(|| panic!("missing {p}"));
-    }
-    cur.as_u64().unwrap()
-}
-
 /// A scripted backend: answers `/healthz` healthy, `POST /jobs` from the
 /// script (`n` = how many submits it has seen before this one), 404 for
-/// the rest.  Reads each request to EOF (the router half-closes), so no
-/// HTTP parsing is needed.  The thread is detached; it dies with the
-/// test process.
-fn fake_backend(on_jobs: impl Fn(u64) -> String + Send + 'static) -> (String, Arc<AtomicU64>) {
+/// the rest.  It reads each request by its framing and closes the
+/// connection after one answer, though no answer says so.  The thread is
+/// detached; it dies with the test process.
+fn fake_backend(
+    on_jobs: impl Fn(u64) -> String + Send + Sync + 'static,
+) -> (String, Arc<AtomicU64>) {
+    let (addr, posts, _) = scripted_backend(false, on_jobs);
+    (addr, posts)
+}
+
+/// [`fake_backend`], optionally answering every request a connection
+/// carries (`keep_alive`).  Also counts the connections that carried a
+/// submit.
+fn scripted_backend(
+    keep_alive: bool,
+    on_jobs: impl Fn(u64) -> String + Send + Sync + 'static,
+) -> (String, Arc<AtomicU64>, Arc<AtomicU64>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
-    let posts = Arc::new(AtomicU64::new(0));
-    let seen = posts.clone();
+    let (posts, submit_conns) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let (seen, carried) = (posts.clone(), submit_conns.clone());
+    let on_jobs = Arc::new(on_jobs);
     std::thread::spawn(move || {
         for conn in listener.incoming() {
-            let Ok(mut s) = conn else { continue };
-            let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-            let mut raw = Vec::new();
-            let _ = s.read_to_end(&mut raw);
-            let text = String::from_utf8_lossy(&raw).into_owned();
-            let mut parts = text.split_whitespace();
-            let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-            let resp = if path == "/healthz" {
-                let body = "{\"ok\":true,\"draining\":false}";
-                format!(
-                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-            } else if method == "POST" && path == "/jobs" {
-                let n = seen.fetch_add(1, Ordering::SeqCst);
-                on_jobs(n)
-            } else {
-                "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n".to_string()
-            };
-            let _ = s.write_all(resp.as_bytes());
+            let Ok(s) = conn else { continue };
+            let (seen, carried, on_jobs) = (seen.clone(), carried.clone(), on_jobs.clone());
+            std::thread::spawn(move || {
+                let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
+                let mut r = BufReader::new(&s);
+                let mut submits = 0;
+                while let Ok(req) = read_request(&mut r) {
+                    let resp = if req.path == "/healthz" {
+                        let body = "{\"ok\":true,\"draining\":false}";
+                        format!(
+                            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                            body.len()
+                        )
+                    } else if req.method == "POST" && req.path == "/jobs" {
+                        if submits == 0 {
+                            carried.fetch_add(1, Ordering::SeqCst);
+                        }
+                        submits += 1;
+                        on_jobs(seen.fetch_add(1, Ordering::SeqCst))
+                    } else {
+                        "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n".to_string()
+                    };
+                    if (&s).write_all(resp.as_bytes()).is_err() || !keep_alive {
+                        break;
+                    }
+                }
+            });
         }
     });
-    (addr, posts)
+    (addr, posts, submit_conns)
+}
+
+/// A scripted submit answer: a job record with local id `n`.
+fn record_answer(n: u64) -> String {
+    let body = format!("{{\"schema\":\"wec-job-record-v1\",\"id\":{n}}}");
+    format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
 }
 
 /// An address that refuses connections: bind an ephemeral port, then
@@ -248,42 +183,6 @@ fn router_cfg(backends: Vec<String>) -> RouterConfig {
         health_interval: Duration::from_millis(50),
         ..RouterConfig::default()
     }
-}
-
-/// Join a daemon thread, failing (instead of hanging) if it has not
-/// returned within `secs`.
-fn join_within(handle: std::thread::JoinHandle<std::io::Result<()>>, secs: u64) {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    while !handle.is_finished() {
-        assert!(
-            Instant::now() < deadline,
-            "daemon did not drain within {secs} s"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    handle.join().unwrap().unwrap();
-}
-
-/// Send one request on an open connection and read its whole answer,
-/// which must be complete: no reset, and exactly `Content-Length` body
-/// bytes.  Returns (status, body).
-fn full_answer(mut s: TcpStream, raw: &str) -> (u16, String) {
-    s.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out)
-        .unwrap_or_else(|e| panic!("answer cut off after {out:?}: {e}"));
-    let (head, body) = out.split_once("\r\n\r\n").expect("no header terminator");
-    let len: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .parse()
-        .unwrap();
-    assert_eq!(body.len(), len, "truncated body in {out:?}");
-    (
-        head.split_whitespace().nth(1).unwrap().parse().unwrap(),
-        body.to_string(),
-    )
 }
 
 fn drain_backend(addr: SocketAddr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
@@ -786,10 +685,10 @@ fn connections_open_at_drain_each_get_a_full_answer() {
     let probe = raw_request("GET", "/healthz", None);
     for (i, conn) in waiting.into_iter().enumerate() {
         if i % 2 == 0 {
-            let (s, body) = full_answer(conn, &submit);
+            let (s, _, body) = full_answer(conn, &submit);
             assert_eq!(s, 503, "{body}");
         } else {
-            let (s, body) = full_answer(conn, &probe);
+            let (s, _, body) = full_answer(conn, &probe);
             assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":true}"));
         }
     }
@@ -800,4 +699,145 @@ fn connections_open_at_drain_each_get_a_full_answer() {
     schema::validate_router_stats_json(&text).unwrap();
     let v = json::parse(&text).unwrap();
     assert_eq!(u64_at(&v, &["router", "rejected"]), 3, "{text}");
+}
+
+#[test]
+fn one_connection_carries_three_requests_through_the_router() {
+    let (baddr, hb) = start_backend(backend_cfg(None));
+    let (state, raddr, hr) = start_router(router_cfg(vec![baddr.to_string()]));
+    let unknown = (1u64 << LOCAL_ID_BITS) | 999_999;
+    let mut conn = TcpStream::connect(raddr).unwrap();
+    for (path, want, close) in [
+        ("/healthz".to_string(), 200, false),
+        (format!("/jobs/{unknown}"), 404, false),
+        ("/stats".to_string(), 200, true),
+    ] {
+        let extra = if close { "Connection: close\r\n" } else { "" };
+        let raw = format!("GET {path} HTTP/1.1\r\nHost: e2e\r\n{extra}\r\n");
+        conn.write_all(raw.as_bytes()).unwrap();
+        let (resp, _) = read_answer(&mut conn);
+        assert_eq!(resp.status, want, "{path}");
+        assert_eq!(
+            resp.header("Connection").is_some(),
+            close,
+            "{path}: {:?}",
+            resp.headers
+        );
+    }
+    assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "EOF after close");
+    drain_router(raddr, hr);
+    assert_eq!(
+        state.requests.load(Ordering::SeqCst),
+        4,
+        "three on one connection, then the shutdown"
+    );
+    drain_backend(baddr, hb);
+}
+
+#[test]
+fn closing_answers_say_so_and_end_the_connection_through_the_router() {
+    let (baddr, hb) = start_backend(backend_cfg(None));
+    let (_state, raddr, hr) = start_router(router_cfg(vec![baddr.to_string()]));
+    let (s, rec) = request(
+        raddr,
+        "POST",
+        "/jobs",
+        Some("{\"bench\": \"164.gzip\", \"scale\": 1}"),
+    );
+    assert_eq!(s, 200, "{rec}");
+    let id = u64_at(&json::parse(&rec).unwrap(), &["id"]);
+    poll_terminal(raddr, id);
+    for (what, raw, close) in [
+        (
+            "HTTP/1.1",
+            "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+            false,
+        ),
+        (
+            "Connection: close",
+            "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n".to_string(),
+            true,
+        ),
+        (
+            "HTTP/1.0",
+            "GET /healthz HTTP/1.0\r\n\r\n".to_string(),
+            true,
+        ),
+        ("a 400", "GARBAGE\r\n\r\n".to_string(), true),
+        (
+            "an events relay",
+            format!("GET /jobs/{id}/events HTTP/1.1\r\n\r\n"),
+            true,
+        ),
+    ] {
+        let mut conn = TcpStream::connect(raddr).unwrap();
+        conn.write_all(raw.as_bytes()).unwrap();
+        let (resp, _) = read_answer(&mut conn);
+        let said = resp.header("Connection");
+        assert_eq!(said, close.then_some("close"), "{what}: {:?}", resp.headers);
+        if close {
+            let n = conn.read(&mut [0u8; 1]).unwrap();
+            assert_eq!(n, 0, "{what}: EOF after the answer");
+        } else {
+            // Still open: a second request is answered on it.
+            conn.write_all(raw.as_bytes()).unwrap();
+            assert_eq!(read_answer(&mut conn).0.status, 200, "{what}");
+        }
+    }
+    drain_router(raddr, hr);
+    drain_backend(baddr, hb);
+}
+
+#[test]
+fn an_idle_kept_connection_does_not_hold_up_the_router_drain() {
+    let (_state, raddr, hr) = start_router(router_cfg(vec![dead_addr()]));
+    let mut kept = TcpStream::connect(raddr).unwrap();
+    kept.write_all(b"GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n")
+        .unwrap();
+    let (resp, _) = read_answer(&mut kept);
+    assert_eq!(resp.status, 200);
+    assert!(
+        resp.header("Connection").is_none(),
+        "kept: {:?}",
+        resp.headers
+    );
+    let (s, _) = request(raddr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(hr, 2);
+    let n = kept.read(&mut [0u8; 1]).unwrap();
+    assert_eq!(n, 0, "the drained router closed the kept connection");
+}
+
+#[test]
+fn routed_submits_reuse_their_backend_connections() {
+    let (fake, posts, submit_conns) = scripted_backend(true, record_answer);
+    let (state, raddr, hr) = start_router(router_cfg(vec![fake]));
+    for _ in 0..20 {
+        let (s, rec) = request(raddr, "POST", "/jobs", Some("{\"bench\": \"181.mcf\"}"));
+        assert_eq!(s, 200, "{rec}");
+    }
+    assert_eq!(posts.load(Ordering::SeqCst), 20);
+    let conns = submit_conns.load(Ordering::SeqCst);
+    assert!(conns <= 2, "20 submits took {conns} backend connections");
+    assert_eq!(state.proxied.load(Ordering::SeqCst), 20);
+    drain_router(raddr, hr);
+}
+
+#[test]
+fn a_backend_that_closes_after_every_answer_loses_no_request() {
+    // Its answers look reusable, so the router pools each connection and
+    // finds it dead on the next submit: that submit goes out again on a
+    // fresh connection, and nothing counts against the backend.
+    let (fake, posts) = fake_backend(record_answer);
+    let (state, raddr, hr) = start_router(router_cfg(vec![fake]));
+    for i in 0..10 {
+        let (s, rec) = request(raddr, "POST", "/jobs", Some("{\"bench\": \"181.mcf\"}"));
+        assert_eq!(s, 200, "submit {i}: {rec}");
+    }
+    assert_eq!(posts.load(Ordering::SeqCst), 10);
+    let backend = &state.ring.backends[0];
+    assert_eq!(backend.failures(), 0);
+    assert_eq!(backend.state(), BackendState::Healthy);
+    assert_eq!(state.resharded.load(Ordering::SeqCst), 0);
+    drain_router(raddr, hr);
 }

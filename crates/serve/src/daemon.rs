@@ -1,4 +1,5 @@
-//! The accept-and-drain loop shared by `wec_serve` and `wec_router`.
+//! The accept-and-drain loop and the connection loop shared by
+//! `wec_serve` and `wec_router`.
 //!
 //! The listener stays blocking, so a connection is handed to its thread
 //! the moment it arrives — nothing on the request path ever sleeps.  That
@@ -16,18 +17,28 @@
 //! threads are scoped to [`run`]: it returns only after every accepted
 //! connection has been answered, so no accepted connection is dropped by
 //! the process exiting behind it.
+//!
+//! Each connection thread answers requests until the connection ends
+//! (HTTP/1.1 keep-alive): the client asks to close or speaks HTTP/1.0, a
+//! response streams, a request fails to parse, a write fails, the daemon
+//! drains, or no further request arrives within `io_timeout`.  The first
+//! request is awaited for the whole `io_timeout`, as before keep-alive;
+//! a further one in [`WATCH_PERIOD`] slices that watch the draining flag,
+//! so an idle kept connection holds a drain up by one period at most.
 
-use std::io;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use crate::http::{self, Reply, Request};
 use crate::lock;
 
 /// How often the watcher re-checks the signal flag and the drained
-/// predicate.  Bounds how late a drain finishes, never a request.
+/// predicate, and an idle kept connection the draining flag.  Bounds how
+/// late a drain finishes, never a request.
 const WATCH_PERIOD: Duration = Duration::from_millis(10);
 
 /// Set by the SIGTERM/SIGINT handler; the watcher folds it into the
@@ -56,21 +67,36 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
-/// Accept on `listener` until drained: each connection runs `handler` on
-/// its own thread (named `{name}-conn`); once `draining` is set (by the
-/// daemon or a signal) and `drained()` holds, the watcher wakes the loop,
-/// the loop answers everything queued ahead of the wake-up, and `run`
-/// returns after the last connection thread has finished.
-pub fn run<D, H>(
+/// What a daemon plugs into the shared connection loop.
+pub trait Service: Sync {
+    /// Answer one request through `reply`; returns the status written.
+    fn route<W: Write>(&self, req: &Request, reply: &mut Reply<'_, W>) -> io::Result<u16>;
+
+    /// One request answered in full: `req` is `None` for the `400` a
+    /// request that failed to parse gets.  `dur_us` runs from the
+    /// request's first byte to its flushed answer, and `bytes` counts that
+    /// one answer.
+    fn answered(&self, req: Option<&Request>, status: u16, dur_us: u64, bytes: u64);
+}
+
+/// Accept on `listener` until drained: each connection is served by
+/// `service` on its own thread (named `{name}-conn`); once `draining` is
+/// set (by the daemon or a signal) and `drained()` holds, the watcher
+/// wakes the loop, the loop answers everything queued ahead of the
+/// wake-up, and `run` returns after the last connection thread has
+/// finished.  `io_timeout` bounds every read and write, and how long a
+/// connection may sit idle.
+pub fn run<D, S>(
     listener: &TcpListener,
     name: &str,
     draining: &AtomicBool,
+    io_timeout: Duration,
     drained: D,
-    handler: H,
+    service: &S,
 ) -> io::Result<()>
 where
     D: Fn() -> bool + Sync,
-    H: Fn(TcpStream) + Sync,
+    S: Service,
 {
     let wake_to = loopback_if_wildcard(listener.local_addr()?);
     // The wake-up connection's local address.  The watcher holds the lock
@@ -88,7 +114,6 @@ where
                     if *lock(&wake_from) == Some(peer) {
                         return Ok(());
                     }
-                    let handler = &handler;
                     // A failed spawn drops the stream: that client sees a
                     // closed connection, the daemon lives on.
                     let _ = std::thread::Builder::new()
@@ -96,7 +121,9 @@ where
                         .spawn_scoped(s, move || {
                             // A panicking handler costs its own connection
                             // only; the hook has already reported it.
-                            let _ = panic::catch_unwind(AssertUnwindSafe(|| handler(stream)));
+                            let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                                serve_conn(service, &stream, draining, io_timeout)
+                            }));
                         });
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -109,6 +136,83 @@ where
             }
         }
     })
+}
+
+/// Answer requests on one connection until it ends (see the module docs).
+fn serve_conn<S: Service>(
+    service: &S,
+    stream: &TcpStream,
+    draining: &AtomicBool,
+    io_timeout: Duration,
+) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(io_timeout));
+    let _ = stream.set_write_timeout(Some(io_timeout));
+    let mut reader = BufReader::new(stream);
+    let mut w = BufWriter::new(stream);
+    if !matches!(reader.fill_buf(), Ok(b) if !b.is_empty()) {
+        return;
+    }
+    loop {
+        // The request's first byte is buffered: its clock starts here.
+        let t = Instant::now();
+        let parsed = http::read_request(&mut reader);
+        let keep_alive = parsed.as_ref().is_ok_and(Request::keep_alive);
+        let mut reply = Reply::new(&mut w, keep_alive, draining);
+        let status = match &parsed {
+            Ok(req) => service.route(req, &mut reply),
+            // Malformed input gets a 400; transport errors and clean
+            // closes get nothing (there is no one left to answer).
+            Err(e) => match e.client_message() {
+                Some(msg) => reply.error(400, "Bad Request", msg),
+                None => return,
+            },
+        };
+        let Ok(status) = status.and_then(|s| reply.flush().map(|()| s)) else {
+            return;
+        };
+        let dur_us = t.elapsed().as_micros() as u64;
+        service.answered(parsed.as_ref().ok(), status, dur_us, reply.bytes_written());
+        if reply.closes() || !await_next(stream, &mut reader, draining, io_timeout) {
+            return;
+        }
+    }
+}
+
+/// Wait for the first byte of a further request on a kept connection:
+/// true once it is buffered; false when the client closes, the
+/// connection idles for `io_timeout`, or the daemon is draining (seen
+/// within one [`WATCH_PERIOD`]).
+fn await_next(
+    stream: &TcpStream,
+    reader: &mut BufReader<&TcpStream>,
+    draining: &AtomicBool,
+    io_timeout: Duration,
+) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    let _ = stream.set_read_timeout(Some(WATCH_PERIOD));
+    let idle = Instant::now();
+    let ready = loop {
+        match reader.fill_buf() {
+            Ok(b) => break !b.is_empty(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if draining.load(Ordering::SeqCst) || idle.elapsed() >= io_timeout {
+                    break false;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
+        }
+    };
+    let _ = stream.set_read_timeout(Some(io_timeout));
+    ready
 }
 
 /// The watcher: fold signals into `draining`, and once drained, connect to

@@ -7,8 +7,11 @@
 //! request/response framing in the same house style as
 //! [`wec_telemetry::json`]):
 //!
-//! * [`http`] — the HTTP/1.1 request parser (hard limits, never panics on
-//!   wire input) and response/chunked-transfer writers;
+//! * [`http`] — HTTP/1.1 framing for the whole workspace: the request
+//!   parser (hard limits, exact framing, never panics on wire input), the
+//!   one response writer (which alone decides when a response ends its
+//!   connection), and the pooled outbound client `wec_router` and the
+//!   tests use;
 //! * [`job`] — the job specification (`POST /jobs` body) and the
 //!   `wec-job-record-v1` record every job carries through its life;
 //! * [`queue`] — the bounded FIFO between the acceptor and the workers
@@ -21,8 +24,9 @@
 //!   [`wec_bench::Runner`] (same persistent result store, byte-identical
 //!   cache entries) and replay jobs through
 //!   [`wec_bench::tracerun::replay_point`], panics become failed jobs;
-//! * [`daemon`] — the blocking accept-and-drain loop and the SIGTERM/SIGINT
-//!   handler, shared with `wec_router`;
+//! * [`daemon`] — the blocking accept-and-drain loop, the keep-alive
+//!   connection loop (many requests per connection, drained promptly) and
+//!   the SIGTERM/SIGINT handler, shared with `wec_router`;
 //! * [`server`] — request routing, the `/jobs/<id>/events` progress
 //!   stream (chunked, `progress.jsonl` schema), and graceful drain on
 //!   SIGTERM / `POST /shutdown`;

@@ -1,9 +1,9 @@
 //! Request routing and graceful drain.
 //!
 //! The daemon is deliberately boring concurrency: a blocking listener
-//! served by the shared accept loop ([`crate::daemon`]), one short-lived
-//! thread per connection (one request per connection, `Connection:
-//! close`), and the long-lived worker pool behind the queue.  Drain —
+//! served by the shared accept loop ([`crate::daemon`]), one thread per
+//! connection answering requests until the connection ends (HTTP/1.1
+//! keep-alive), and the long-lived worker pool behind the queue.  Drain —
 //! `POST /shutdown` or SIGTERM/SIGINT — flips one flag: submissions start
 //! answering `503`, the loop's watcher waits for the outstanding-job count
 //! to reach zero and wakes the loop, which answers every connection still
@@ -14,7 +14,7 @@
 //! the per-endpoint request/latency metrics behind `GET /metrics`, and
 //! appended to `access.jsonl` (`wec-access-log-v1`) when a log directory
 //! is configured.  Handlers return the status they wrote so the
-//! connection wrapper does both without each handler threading it back.
+//! connection loop does both without each handler threading it back.
 //!
 //! Endpoints:
 //!
@@ -32,31 +32,22 @@
 //! | GET       | `/dashboard/data`      | `wec-dashboard-data-v1` document         |
 //! | POST      | `/shutdown`            | begin graceful drain                     |
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wec_telemetry::json::escape_into;
-
-use crate::daemon;
+use crate::daemon::{self, Service};
 use crate::dashboard;
-use crate::http::{self, ChunkedWriter, CountingWriter, Request};
+use crate::http::{error_json, Reply, Request};
 use crate::job::JobState;
 use crate::lock;
 use crate::metrics::endpoint_index;
 use crate::ringbuf::{sample_from, SampleCursor};
-use crate::state::{ServeConfig, ServerState, SubmitError};
+use crate::state::{JobSlot, ServeConfig, ServerState, SubmitError};
 use crate::worker;
-
-fn error_json(msg: &str) -> String {
-    let mut out = String::from("{\"error\":");
-    escape_into(&mut out, msg);
-    out.push('}');
-    out
-}
 
 /// The daemon: a bound listener plus its worker pool and sampler.
 pub struct Server {
@@ -106,6 +97,7 @@ impl Server {
             &self.listener,
             "wec-serve",
             &state.draining,
+            state.cfg.io_timeout,
             || {
                 // Queued speculation would hold `outstanding` up forever
                 // once demand stops; reclaim it so drain only waits on
@@ -113,7 +105,7 @@ impl Server {
                 state.purge_speculation();
                 state.outstanding() == 0
             },
-            |stream| handle_conn(state, stream),
+            &**state,
         )?;
         self.state.queue.close();
         for h in self.workers {
@@ -163,56 +155,36 @@ fn spawn_sampler(state: &Arc<ServerState>) -> Option<JoinHandle<()>> {
         .ok()
 }
 
-fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.cfg.io_timeout));
-    let _ = stream.set_write_timeout(Some(state.cfg.io_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut w = CountingWriter::new(BufWriter::new(stream));
-    let t = Instant::now();
-    match http::read_request(&mut reader) {
-        Ok(req) => {
-            if let Ok(status) = route(state, &req, &mut w) {
-                let _ = w.flush();
-                let dur_us = t.elapsed().as_micros() as u64;
-                state
-                    .metrics
+impl Service for ServerState {
+    fn route<W: Write>(&self, req: &Request, reply: &mut Reply<'_, W>) -> io::Result<u16> {
+        route(self, req, reply)
+    }
+
+    fn answered(&self, req: Option<&Request>, status: u16, dur_us: u64, bytes: u64) {
+        match req {
+            Some(req) => {
+                self.metrics
                     .observe_request(endpoint_index(&req.path), status, dur_us);
-                state.log_access(&req.method, &req.path, status, dur_us, w.bytes_written());
+                self.log_access(&req.method, &req.path, status, dur_us, bytes);
             }
-        }
-        Err(e) => {
-            // Malformed input gets a 400; transport errors and clean
-            // closes get nothing (there is no one left to answer).
-            if let Some(msg) = e.client_message() {
-                let ok = http::write_json(&mut w, 400, "Bad Request", &error_json(msg)).is_ok();
-                let _ = w.flush();
-                if ok {
-                    let dur_us = t.elapsed().as_micros() as u64;
-                    state.log_access("-", "-", 400, dur_us, w.bytes_written());
-                }
-            }
+            None => self.log_access("-", "-", status, dur_us, bytes),
         }
     }
-    let _ = w.flush();
 }
 
 /// Dispatch one request; returns the response status actually written (for
 /// the request metrics and the access log).
-fn route<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Result<u16> {
+fn route<W: Write>(state: &ServerState, req: &Request, w: &mut Reply<'_, W>) -> io::Result<u16> {
     let method = req.method.as_str();
     match req.path.as_str() {
         "/jobs" => match method {
             "POST" => submit(state, req, w),
-            _ => method_not_allowed(w, "POST"),
+            _ => w.method_not_allowed("POST"),
         },
         "/stats" => match method {
-            "GET" => reply_json(w, 200, "OK", &state.stats_json()),
-            "HEAD" => reply_head(w, &state.stats_json()),
-            _ => method_not_allowed(w, "GET, HEAD"),
+            "GET" => w.json(200, "OK", &state.stats_json()),
+            "HEAD" => w.json_head(&state.stats_json()),
+            _ => w.method_not_allowed("GET, HEAD"),
         },
         "/healthz" => {
             let body = format!(
@@ -220,9 +192,9 @@ fn route<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Re
                 state.draining.load(Ordering::SeqCst)
             );
             match method {
-                "GET" => reply_json(w, 200, "OK", &body),
-                "HEAD" => reply_head(w, &body),
-                _ => method_not_allowed(w, "GET, HEAD"),
+                "GET" => w.json(200, "OK", &body),
+                "HEAD" => w.json_head(&body),
+                _ => w.method_not_allowed("GET, HEAD"),
             }
         }
         "/metrics" => match method {
@@ -230,85 +202,49 @@ fn route<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Re
                 let page = state
                     .metrics
                     .render_prometheus(&state.snapshot(), state.backend_id());
-                http::write_response(
-                    w,
-                    200,
-                    "OK",
-                    "text/plain; version=0.0.4",
-                    page.as_bytes(),
-                    &[],
-                )?;
-                Ok(200)
+                w.send(200, "OK", "text/plain; version=0.0.4", page.as_bytes(), &[])
             }
-            _ => method_not_allowed(w, "GET"),
+            _ => w.method_not_allowed("GET"),
         },
         "/dashboard" => match method {
-            "GET" => {
-                http::write_response(
-                    w,
-                    200,
-                    "OK",
-                    "text/html; charset=utf-8",
-                    dashboard::DASHBOARD_HTML.as_bytes(),
-                    &[],
-                )?;
-                Ok(200)
-            }
-            _ => method_not_allowed(w, "GET"),
+            "GET" => w.send(
+                200,
+                "OK",
+                "text/html; charset=utf-8",
+                dashboard::DASHBOARD_HTML.as_bytes(),
+                &[],
+            ),
+            _ => w.method_not_allowed("GET"),
         },
         "/dashboard/data" => match method {
-            "GET" => reply_json(w, 200, "OK", &dashboard::dashboard_data_json(state)),
-            _ => method_not_allowed(w, "GET"),
+            "GET" => w.json(200, "OK", &dashboard::dashboard_data_json(state)),
+            _ => w.method_not_allowed("GET"),
         },
         "/shutdown" => match method {
             "POST" => {
                 state.draining.store(true, Ordering::SeqCst);
-                reply_json(w, 200, "OK", "{\"draining\":true}")
+                w.json(200, "OK", "{\"draining\":true}")
             }
-            _ => method_not_allowed(w, "POST"),
+            _ => w.method_not_allowed("POST"),
         },
         path => match path.strip_prefix("/jobs/") {
             Some(rest) => job_route(state, method, rest, w),
-            None => reply_json(w, 404, "Not Found", &error_json("no such endpoint")),
+            None => w.error(404, "Not Found", "no such endpoint"),
         },
     }
 }
 
-fn reply_json<W: Write>(w: &mut W, status: u16, reason: &str, body: &str) -> io::Result<u16> {
-    http::write_json(w, status, reason, body)?;
-    Ok(status)
-}
-
-/// The `HEAD` twin of a JSON `GET`: same status and `Content-Length`, no
-/// body bytes.
-fn reply_head<W: Write>(w: &mut W, body: &str) -> io::Result<u16> {
-    http::write_head_only(w, 200, "OK", "application/json", body.len())?;
-    Ok(200)
-}
-
-fn method_not_allowed<W: Write>(w: &mut W, allow: &str) -> io::Result<u16> {
-    http::write_response(
-        w,
-        405,
-        "Method Not Allowed",
-        "application/json",
-        error_json("method not allowed").as_bytes(),
-        &[("Allow", allow.to_string())],
-    )?;
-    Ok(405)
-}
-
-fn submit<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::Result<u16> {
+fn submit<W: Write>(state: &ServerState, req: &Request, w: &mut Reply<'_, W>) -> io::Result<u16> {
     let body = match req.body_utf8() {
         Ok(b) => b,
-        Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
+        Err(e) => return w.error(400, "Bad Request", &e),
     };
     let spec = match crate::job::JobSpec::parse(body) {
         Ok(s) => s,
-        Err(e) => return reply_json(w, 400, "Bad Request", &error_json(&e)),
+        Err(e) => return w.error(400, "Bad Request", &e),
     };
     match state.submit(spec) {
-        Ok(slot) => reply_json(w, 200, "OK", &slot.record().to_json()),
+        Ok(slot) => w.json(200, "OK", &slot.record().to_json()),
         Err(e) => {
             let msg = match e {
                 SubmitError::QueueFull => "queue full, retry later",
@@ -321,15 +257,13 @@ fn submit<W: Write>(state: &Arc<ServerState>, req: &Request, w: &mut W) -> io::R
             if e == SubmitError::Draining {
                 headers.push(("X-Wec-Draining", "true".to_string()));
             }
-            http::write_response(
-                w,
+            w.send(
                 503,
                 "Service Unavailable",
                 "application/json",
                 error_json(msg).as_bytes(),
                 &headers,
-            )?;
-            Ok(503)
+            )
         }
     }
 }
@@ -358,58 +292,43 @@ fn retry_after_secs(state: &ServerState) -> u64 {
 }
 
 fn job_route<W: Write>(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     method: &str,
     rest: &str,
-    w: &mut W,
+    w: &mut Reply<'_, W>,
 ) -> io::Result<u16> {
     let mut parts = rest.splitn(2, '/');
     let id = parts.next().unwrap_or("");
     let sub = parts.next();
     let slot = match id.parse::<u64>().ok().and_then(|id| state.job(id)) {
         Some(s) => s,
-        None => return reply_json(w, 404, "Not Found", &error_json("no such job")),
+        None => return w.error(404, "Not Found", "no such job"),
     };
     match (method, sub) {
-        ("GET", None) => reply_json(w, 200, "OK", &slot.record().to_json()),
+        ("GET", None) => w.json(200, "OK", &slot.record().to_json()),
         ("GET", Some("result.kv")) => {
             let rec = slot.record();
             match rec.state {
-                JobState::Done => {
-                    http::write_response(
-                        w,
-                        200,
-                        "OK",
-                        "text/plain",
-                        rec.metrics_kv().as_bytes(),
-                        &[],
-                    )?;
-                    Ok(200)
-                }
-                JobState::Failed => {
-                    reply_json(w, 500, "Internal Server Error", &error_json(&rec.error))
-                }
-                _ => reply_json(w, 202, "Accepted", &rec.to_json()),
+                JobState::Done => w.send(200, "OK", "text/plain", rec.metrics_kv().as_bytes(), &[]),
+                JobState::Failed => w.error(500, "Internal Server Error", &rec.error),
+                _ => w.json(202, "Accepted", &rec.to_json()),
             }
         }
         ("GET", Some("events")) => stream_events(state, &slot, w),
         ("GET", Some("attribution")) => {
             let rec = slot.record();
             match (&rec.attr, rec.state) {
-                (Some(attr), _) => reply_json(w, 200, "OK", &attr.report_json),
-                (None, s) if !s.terminal() => reply_json(w, 202, "Accepted", &rec.to_json()),
-                (None, _) => reply_json(
-                    w,
+                (Some(attr), _) => w.json(200, "OK", &attr.report_json),
+                (None, s) if !s.terminal() => w.json(202, "Accepted", &rec.to_json()),
+                (None, _) => w.error(
                     404,
                     "Not Found",
-                    &error_json(
-                        "no attribution ledger for this job (start the daemon with --attribution and submit a replay job)",
-                    ),
+                    "no attribution ledger for this job (start the daemon with --attribution and submit a replay job)",
                 ),
             }
         }
-        ("GET", Some(_)) => reply_json(w, 404, "Not Found", &error_json("no such endpoint")),
-        _ => method_not_allowed(w, "GET"),
+        ("GET", Some(_)) => w.error(404, "Not Found", "no such endpoint"),
+        _ => w.method_not_allowed("GET"),
     }
 }
 
@@ -417,11 +336,11 @@ fn job_route<W: Write>(
 /// `progress.jsonl` line per chunk), ending once the job is terminal and
 /// everything buffered has been sent, or at the stream deadline.
 fn stream_events<W: Write>(
-    state: &Arc<ServerState>,
-    slot: &Arc<crate::state::JobSlot>,
-    w: &mut W,
+    state: &ServerState,
+    slot: &JobSlot,
+    w: &mut Reply<'_, W>,
 ) -> io::Result<u16> {
-    let mut cw = ChunkedWriter::begin(w, 200, "OK", "application/jsonl")?;
+    let mut cw = w.chunked(200, "OK", "application/jsonl")?;
     let deadline = Instant::now() + state.cfg.events_timeout;
     let mut sent = 0usize;
     loop {

@@ -69,7 +69,8 @@ pub struct ServeConfig {
     /// Where to write `jobs.jsonl` + `access.jsonl` (live) and
     /// `stats.json` (at drain).
     pub log_dir: Option<PathBuf>,
-    /// Socket read/write timeout per request.
+    /// Socket read/write timeout per request, and how long a kept
+    /// connection may sit idle between requests.
     pub io_timeout: Duration,
     /// Upper bound on one `/jobs/<id>/events` stream's lifetime.
     pub events_timeout: Duration,

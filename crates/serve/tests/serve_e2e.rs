@@ -1,40 +1,16 @@
 //! End-to-end daemon tests: a live server on an ephemeral port, driven
 //! over real sockets, running real scale-1 simulations.
 
+mod support;
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wec_serve::{ServeConfig, Server, ServerState};
+use support::*;
+use wec_serve::ServeConfig;
 use wec_telemetry::json::{self, Json};
 use wec_telemetry::schema;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wec-serve-e2e-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-type ServerHandle = (
-    Arc<ServerState>,
-    SocketAddr,
-    std::thread::JoinHandle<std::io::Result<()>>,
-);
-
-fn start(cfg: ServeConfig) -> ServerHandle {
-    start_on("127.0.0.1:0", cfg)
-}
-
-fn start_on(bind: &str, cfg: ServeConfig) -> ServerHandle {
-    let server = Server::bind(bind, cfg).unwrap();
-    let state = server.state();
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.run());
-    (state, addr, handle)
-}
 
 fn idle_cfg() -> ServeConfig {
     ServeConfig {
@@ -44,131 +20,6 @@ fn idle_cfg() -> ServeConfig {
         log_dir: None,
         ..ServeConfig::default()
     }
-}
-
-/// Join a daemon thread, failing (instead of hanging) if it has not
-/// returned within `secs`.
-fn join_within(handle: std::thread::JoinHandle<std::io::Result<()>>, secs: u64) {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    while !handle.is_finished() {
-        assert!(
-            Instant::now() < deadline,
-            "daemon did not drain within {secs} s"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    handle.join().unwrap().unwrap();
-}
-
-/// Send one request on an open connection and read its whole answer,
-/// which must be complete: no reset, and exactly `Content-Length` body
-/// bytes.  Returns (status, head, body).
-fn full_answer(mut s: TcpStream, raw: &str) -> (u16, String, String) {
-    s.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out)
-        .unwrap_or_else(|e| panic!("answer cut off after {out:?}: {e}"));
-    let (head, body) = out.split_once("\r\n\r\n").expect("no header terminator");
-    let len: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .parse()
-        .unwrap();
-    assert_eq!(body.len(), len, "truncated body in {out:?}");
-    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
-    (status, head.to_string(), body.to_string())
-}
-
-/// Write raw bytes, half-close, read the whole response.  Writes and the
-/// final read are best-effort: a server that rejects early (oversized
-/// request) may close the connection while the client is still sending.
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let _ = s.write_all(raw);
-    let _ = s.shutdown(std::net::Shutdown::Write);
-    let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
-    out
-}
-
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    parse_response(&send_raw(addr, raw.as_bytes()))
-}
-
-fn poll_terminal(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let v = json::parse(&body).unwrap();
-        let state = v.get("state").and_then(Json::as_str).unwrap().to_string();
-        if state == "done" || state == "failed" {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "job {id} stuck in {state}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn u64_at(v: &Json, path: &[&str]) -> u64 {
-    let mut cur = v;
-    for p in path {
-        cur = cur.get(p).unwrap_or_else(|| panic!("missing {p}"));
-    }
-    cur.as_u64().unwrap()
 }
 
 #[test]
@@ -416,4 +267,141 @@ fn connections_open_when_drain_completes_each_get_a_full_answer() {
         }
     }
     join_within(handle, 10);
+}
+
+#[test]
+fn one_connection_carries_three_requests_each_logged_on_its_own() {
+    let logs = scratch("keep-alive-logs");
+    let (state, addr, handle) = start(ServeConfig {
+        log_dir: Some(logs.clone()),
+        ..idle_cfg()
+    });
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut sizes = Vec::new();
+    for close in [false, false, true] {
+        // Idle time on the connection is no request's time.
+        std::thread::sleep(Duration::from_millis(200));
+        let extra = if close { "Connection: close\r\n" } else { "" };
+        let raw = format!("GET /healthz HTTP/1.1\r\nHost: e2e\r\n{extra}\r\n");
+        conn.write_all(raw.as_bytes()).unwrap();
+        let (resp, size) = read_answer(&mut conn);
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            resp.header("Connection").is_some(),
+            close,
+            "{:?}",
+            resp.headers
+        );
+        sizes.push(size);
+    }
+    assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "EOF after close");
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(handle, 10);
+
+    let page = state
+        .metrics
+        .render_prometheus(&state.snapshot(), state.backend_id());
+    assert!(
+        page.contains("wec_serve_http_requests_total{endpoint=\"healthz\",status=\"200\"} 3\n"),
+        "{page}"
+    );
+    let access = std::fs::read_to_string(logs.join("access.jsonl")).unwrap();
+    schema::validate_access_jsonl(&access).unwrap();
+    let lines: Vec<Json> = access
+        .lines()
+        .map(|l| json::parse(l).unwrap())
+        .filter(|v| v.get("path").and_then(Json::as_str) == Some("/healthz"))
+        .collect();
+    assert_eq!(lines.len(), 3, "{access}");
+    for (line, size) in lines.iter().zip(&sizes) {
+        assert_eq!(u64_at(line, &["bytes"]), *size, "{access}");
+        assert!(
+            u64_at(line, &["dur_us"]) < 200_000,
+            "idle time counted: {access}"
+        );
+    }
+}
+
+#[test]
+fn closing_answers_say_so_and_end_the_connection() {
+    let (_state, addr, handle) = start(ServeConfig {
+        store: Some(scratch("closing-store")),
+        ..idle_cfg()
+    });
+    let (s, rec) = request(
+        addr,
+        "POST",
+        "/jobs",
+        Some("{\"bench\": \"164.gzip\", \"scale\": 1}"),
+    );
+    assert_eq!(s, 200, "{rec}");
+    let id = u64_at(&json::parse(&rec).unwrap(), &["id"]);
+    poll_terminal(addr, id);
+    for (what, raw, close) in [
+        (
+            "HTTP/1.1",
+            "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+            false,
+        ),
+        (
+            "Connection: close",
+            "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n".to_string(),
+            true,
+        ),
+        (
+            "HTTP/1.0",
+            "GET /healthz HTTP/1.0\r\n\r\n".to_string(),
+            true,
+        ),
+        ("a 400", "GARBAGE\r\n\r\n".to_string(), true),
+        (
+            "an events stream",
+            format!("GET /jobs/{id}/events HTTP/1.1\r\n\r\n"),
+            true,
+        ),
+    ] {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.write_all(raw.as_bytes()).unwrap();
+        let (resp, _) = read_answer(&mut conn);
+        let said = resp.header("Connection");
+        assert_eq!(said, close.then_some("close"), "{what}: {:?}", resp.headers);
+        if close {
+            assert_eq!(
+                conn.read(&mut [0u8; 1]).unwrap(),
+                0,
+                "{what}: EOF after the answer"
+            );
+        } else {
+            // Still open: a second request is answered on it.
+            conn.write_all(raw.as_bytes()).unwrap();
+            assert_eq!(read_answer(&mut conn).0.status, 200, "{what}");
+        }
+    }
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(handle, 10);
+}
+
+#[test]
+fn an_idle_kept_connection_does_not_hold_up_drain() {
+    let (_state, addr, handle) = start(idle_cfg());
+    let mut kept = TcpStream::connect(addr).unwrap();
+    kept.write_all(b"GET /healthz HTTP/1.1\r\nHost: e2e\r\n\r\n")
+        .unwrap();
+    let (resp, _) = read_answer(&mut kept);
+    assert_eq!(resp.status, 200);
+    assert!(
+        resp.header("Connection").is_none(),
+        "kept: {:?}",
+        resp.headers
+    );
+    let (s, _) = request(addr, "POST", "/shutdown", None);
+    assert_eq!(s, 200);
+    join_within(handle, 2);
+    assert_eq!(
+        kept.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "the drained daemon closed it"
+    );
 }

@@ -18,36 +18,17 @@
 //!    point never recompute it: one claims the parked result, the other
 //!    is an ordinary memo hit.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod support;
+
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wec_serve::{ServeConfig, Server, ServerState, SpecConfig};
-use wec_telemetry::json::{self, Json};
+use support::*;
+use wec_serve::{ServeConfig, ServerState, SpecConfig};
+use wec_telemetry::json;
 use wec_telemetry::schema;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wec-spec-e2e-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-type ServerHandle = (
-    Arc<ServerState>,
-    SocketAddr,
-    std::thread::JoinHandle<std::io::Result<()>>,
-);
-
-fn start(cfg: ServeConfig) -> ServerHandle {
-    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
-    let state = server.state();
-    let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.run());
-    (state, addr, handle)
-}
 
 fn spec_cfg(store: PathBuf, log_dir: Option<PathBuf>) -> ServeConfig {
     ServeConfig {
@@ -62,94 +43,6 @@ fn spec_cfg(store: PathBuf, log_dir: Option<PathBuf>) -> ServeConfig {
         }),
         ..ServeConfig::default()
     }
-}
-
-fn send_raw(addr: SocketAddr, raw: &[u8]) -> String {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_nodelay(true).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let _ = s.write_all(raw);
-    let _ = s.shutdown(std::net::Shutdown::Write);
-    let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => out.extend_from_slice(&buf[..n]),
-        }
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
-fn dechunk(body: &str) -> String {
-    let mut out = String::new();
-    let mut rest = body;
-    loop {
-        let (len_line, after) = rest.split_once("\r\n").expect("chunk size line");
-        let len = usize::from_str_radix(len_line.trim(), 16).expect("hex chunk size");
-        if len == 0 {
-            break;
-        }
-        out.push_str(&after[..len]);
-        rest = &after[len + 2..];
-    }
-    out
-}
-
-fn parse_response(text: &str) -> (u16, String) {
-    let (head, body) = text.split_once("\r\n\r\n").expect("no header terminator");
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        (status, dechunk(body))
-    } else {
-        (status, body.to_string())
-    }
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut raw = format!("{method} {path} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        raw.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    raw.push_str("\r\n");
-    if let Some(b) = body {
-        raw.push_str(b);
-    }
-    parse_response(&send_raw(addr, raw.as_bytes()))
-}
-
-fn poll_terminal(addr: SocketAddr, id: u64) -> Json {
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let (status, body) = request(addr, "GET", &format!("/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let v = json::parse(&body).unwrap();
-        let state = v.get("state").and_then(Json::as_str).unwrap().to_string();
-        if state == "done" || state == "failed" || state == "cancelled" {
-            return v;
-        }
-        assert!(Instant::now() < deadline, "job {id} stuck in {state}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn u64_at(v: &Json, path: &[&str]) -> u64 {
-    let mut cur = v;
-    for p in path {
-        cur = cur.get(p).unwrap_or_else(|| panic!("missing {p}"));
-    }
-    cur.as_u64().unwrap()
 }
 
 /// Wait until all work (demand and speculative) has settled so parked
