@@ -6,12 +6,14 @@
 //! flow between stages with the intended one-cycle boundaries.
 //!
 //! Per-cycle work scales with events, not with the window size.  Issue
-//! fills a completion queue ordered by `(done_at, seq)`, and complete pops
-//! only what is due this cycle, oldest first.  Issue walks the ROB's ready
-//! set (the `Waiting` entries whose operands are all ready, in age order),
-//! and a completing producer wakes only the operands registered on it at
-//! rename (see [`crate::rob`]).  A running unit whose window is full but
-//! idle therefore costs almost nothing per cycle.
+//! fills a completion queue of `(done_at, seq, rid)` items, and complete
+//! pops only what is due this cycle, oldest first: the `(done_at, seq)`
+//! order.  The rid finds the entry (see [`crate::rob`]); the `seq` is a tag
+//! that drops an item whose entry was squashed, even when the next dispatch
+//! reused its rid.  Issue walks the ROB's ready set (the `Waiting` entries
+//! whose operands are all ready, in age order), and a completing producer
+//! wakes only the operands registered on it at rename.  A running unit
+//! whose window is full but idle therefore costs almost nothing per cycle.
 //!
 //! Wrong-path behaviour (the paper's §3.1.1) is concentrated in the
 //! recovery path of [`Core::tick`]: on a branch misprediction the squashed younger
@@ -159,15 +161,15 @@ pub struct Core {
     fu_used: [u32; FU_CLASSES],
     // -------- wrong path --------
     pub wp_engine: WrongPathEngine,
-    /// Recovery scratch: squashed-producer results, indexed by
-    /// `seq - first_squashed_seq` (squashed seqs are contiguous).  Kept on
-    /// the core so a mispredict-heavy run does not allocate a map per
-    /// recovery.
+    /// Recovery scratch: squashed-producer results, indexed by position in
+    /// the squashed suffix.  Kept on the core so a mispredict-heavy run
+    /// does not allocate a map per recovery.
     recover_produced: Vec<Option<u64>>,
-    /// Pending completions, `(done_at, seq)`, earliest first: one per
-    /// `Executing` entry, pushed at issue.  Entries squashed after issuing
-    /// leave stale items that fail the ROB lookup when they come due.
-    completions: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// Pending completions, `(done_at, seq, rid)`, earliest first: one per
+    /// `Executing` entry, pushed at issue.  An entry squashed after issuing
+    /// leaves a stale item; when it comes due its rid is outside the window
+    /// or names a younger entry with another `seq`, and it is dropped.
+    completions: BinaryHeap<Reverse<(Cycle, u64, u64)>>,
     pub stats: CoreStats,
     /// Recent commits (enabled via `CoreConfig::commit_trace`).
     pub commit_trace: CommitTrace,
@@ -272,29 +274,59 @@ impl Core {
     }
 
     /// Check the scheduler's invariants: the ROB's ready set and consumer
-    /// chains (see `Rob::check_scheduler`), and exactly one queued
-    /// completion per `Executing` entry, due at its `done_at`.  A test aid
-    /// (the scheduler property test calls it after every tick); release
-    /// builds do not contain it.
+    /// chains (see `Rob::check_scheduler`), the rename table, and exactly
+    /// one queued completion per `Executing` entry, due at its `done_at`.
+    /// A test aid (the scheduler property test calls it after every tick);
+    /// release builds do not contain it.
     #[cfg(any(test, debug_assertions))]
     pub fn check_scheduler(&self) -> Result<(), String> {
+        use wec_isa::reg::{FReg, NUM_FREGS, NUM_IREGS};
         self.rob.check_scheduler()?;
-        for &Reverse((at, seq)) in &self.completions {
-            match self.rob.get(seq) {
-                Some(e) if e.stage != Stage::Executing || e.done_at != at => {
+        // Each register's rename mapping names its youngest in-flight
+        // writer; with none in flight, the architectural file or a retired
+        // entry (whose value the architectural file holds).
+        let mut writer_i = [None; NUM_IREGS];
+        let mut writer_f = [None; NUM_FREGS];
+        for (rid, e) in self.rob.iter() {
+            if let Some(rd) = e.inst.dest_ireg() {
+                writer_i[rd.index()] = Some(rid);
+            }
+            if let Some(fd) = e.inst.dest_freg() {
+                writer_f[fd.index()] = Some(rid);
+            }
+        }
+        let retired_below = self.rob.head_rid();
+        let mappings = (1..NUM_IREGS)
+            .map(|i| ('r', i, self.rat.lookup_i(Reg(i as u8)), writer_i[i]))
+            .chain((0..NUM_FREGS).map(|i| ('f', i, self.rat.lookup_f(FReg(i as u8)), writer_f[i])));
+        for (file, i, mapping, writer) in mappings {
+            let ok = match (writer, mapping) {
+                (Some(w), m) => m == Mapping::Rob(w),
+                (None, Mapping::Arch) => true,
+                (None, Mapping::Rob(s)) => s < retired_below,
+            };
+            if !ok {
+                return Err(format!(
+                    "{file}{i} maps to {mapping:?}, youngest in-flight writer {writer:?}"
+                ));
+            }
+        }
+        for &Reverse((at, seq, rid)) in &self.completions {
+            match self.rob.get(rid) {
+                Some(e) if e.seq == seq && (e.stage != Stage::Executing || e.done_at != at) => {
                     return Err(format!(
-                        "completion ({at:?}, #{seq}) queued for {:?} entry done at {:?}",
+                        "completion ({at:?}, #{seq}, rid {rid}) queued for {:?} entry done at {:?}",
                         e.stage, e.done_at
                     ));
                 }
                 _ => {}
             }
         }
-        for e in self.rob.iter().filter(|e| e.stage == Stage::Executing) {
+        for (rid, e) in self.rob.iter().filter(|(_, e)| e.stage == Stage::Executing) {
             let n = self
                 .completions
                 .iter()
-                .filter(|&&Reverse((_, seq))| seq == e.seq)
+                .filter(|&&Reverse((_, seq, r))| (seq, r) == (e.seq, rid))
                 .count();
             if n != 1 {
                 return Err(format!("executing #{} has {n} queued completions", e.seq));
@@ -352,13 +384,13 @@ impl Core {
     // -------- commit --------
 
     /// Release the committing instruction's RAT mappings (only its own
-    /// destination slots can name its seq).
-    fn retire_rat(&mut self, inst: &Inst, seq: u64) {
+    /// destination slots can name its rid).
+    fn retire_rat(&mut self, inst: &Inst, rid: u64) {
         if let Some(rd) = inst.dest_ireg() {
-            self.rat.retire_i(rd, seq);
+            self.rat.retire_i(rd, rid);
         }
         if let Some(fd) = inst.dest_freg() {
-            self.rat.retire_f(fd, seq);
+            self.rat.retire_f(fd, rid);
         }
     }
 
@@ -370,7 +402,7 @@ impl Core {
                 break;
             }
             let inst = head.inst;
-            let seq = head.seq;
+            let rid = self.rob.head_rid();
 
             if inst.is_store() {
                 let addr = head.eff_addr.expect("done store without address");
@@ -390,7 +422,6 @@ impl Core {
                     }
                     StaOutcome::Redirect(pc) => {
                         let entry = self.rob.pop_head().unwrap();
-                        self.retire_rat(&entry.inst, entry.seq);
                         self.stats.committed.inc();
                         self.commit_trace
                             .record(now, entry.seq, entry.pc, entry.inst);
@@ -418,7 +449,7 @@ impl Core {
                 }
             }
             let retired = self.rob.pop_head().unwrap();
-            self.retire_rat(&inst, seq);
+            self.retire_rat(&inst, rid);
             self.stats.committed.inc();
             self.commit_trace
                 .record(now, retired.seq, retired.pc, retired.inst);
@@ -433,16 +464,16 @@ impl Core {
         // its `done_at` (latencies are at least one cycle, and this runs
         // every cycle the core runs), so everything popped here shares
         // `now` and the `(done_at, seq)` order is age order.  A recovery may
-        // squash younger entries; their queued items then fail the lookup.
-        while let Some(&Reverse((at, seq))) = self.completions.peek() {
+        // squash younger entries; their queued items then fail the tagged
+        // lookup.
+        while let Some(&Reverse((at, seq, rid))) = self.completions.peek() {
             if at > now {
                 break;
             }
             self.completions.pop();
-            let Some(idx) = self.rob.pos(seq) else {
+            let Some(e) = self.rob.get_tagged_mut(rid, seq) else {
                 continue; // squashed after it issued
             };
-            let e = self.rob.at_mut(idx);
             debug_assert_eq!((at, e.stage), (now, Stage::Executing));
             e.stage = Stage::Done;
             let inst = e.inst;
@@ -450,7 +481,7 @@ impl Core {
             let (taken, target) = (e.resolved_taken, e.resolved_target);
             let (predicted_taken, predicted_target) = (e.predicted_taken, e.predicted_target);
             if inst.dest_ireg().is_some() || inst.dest_freg().is_some() {
-                self.rob.wakeup(seq, result);
+                self.rob.wakeup(rid, result);
             }
             match inst {
                 Inst::Branch { .. } => {
@@ -462,7 +493,7 @@ impl Core {
                     let actual_next = if taken { target } else { pc + 1 };
                     if taken != predicted_taken {
                         self.stats.mispredicted_branches.inc();
-                        self.recover(seq, actual_next, now);
+                        self.recover(rid, actual_next, now);
                     }
                 }
                 Inst::Jr { .. } => {
@@ -478,7 +509,7 @@ impl Core {
                         self.fetch_block = None;
                     } else if predicted_target != target {
                         self.stats.mispredicted_indirect.inc();
-                        self.recover(seq, target, now);
+                        self.recover(rid, target, now);
                     }
                 }
                 _ => {}
@@ -486,21 +517,16 @@ impl Core {
         }
     }
 
-    /// Branch misprediction recovery: squash everything younger than `seq`,
-    /// restore the RAT, redirect fetch — and feed address-ready squashed
-    /// loads to the wrong-path engine (§3.1.1).
-    fn recover(&mut self, seq: u64, new_pc: u32, now: Cycle) {
+    /// Branch misprediction recovery: squash everything younger than the
+    /// branch `rid`, walking the RAT back, redirect fetch — and feed
+    /// address-ready squashed loads to the wrong-path engine (§3.1.1).
+    fn recover(&mut self, rid: u64, new_pc: u32, now: Cycle) {
         self.stats.recoveries.inc();
-        let branch = self
+        let branch_pc = self
             .rob
-            .get_mut(seq)
-            .expect("recovering branch without ROB entry");
-        let branch_pc = branch.pc;
-        let checkpoint = branch
-            .checkpoint
-            .take()
-            .expect("recovering branch without checkpoint");
-        self.rob.restore_checkpoint(checkpoint, &mut self.rat);
+            .get(rid)
+            .expect("recovering branch without ROB entry")
+            .pc;
         if self.cfg.wrong_path_loads {
             // Results of squashed producers that already issued: functional
             // execution computes a value at issue, so any non-waiting entry
@@ -508,40 +534,29 @@ impl Core {
             // squashed load whose base comes from such a producer is
             // "ready" in the paper's sense — its effective address is
             // computable when the branch resolves (Figure 3's loads C/D).
-            // Squashed seqs span a narrow range (a ROB suffix, possibly with
-            // gaps), so the producer table is a dense vector indexed by
-            // `seq - base`, reused across recoveries.  The suffix is sifted
-            // in place, before it is squashed.
-            let squashed = self.rob.younger_than(seq);
-            let base_seq = squashed.clone().next().map_or(0, |e| e.seq);
-            let span = squashed
-                .clone()
-                .next_back()
-                .map_or(0, |e| (e.seq - base_seq) as usize + 1);
+            // Squashed rids run from `rid + 1` with no gaps, so the producer
+            // table is a dense vector indexed by `p - (rid + 1)`, reused
+            // across recoveries.  The suffix is sifted in place, before it
+            // is squashed.
+            let squashed = self.rob.younger_than(rid);
             self.recover_produced.clear();
-            self.recover_produced.resize(span, None);
-            for e in squashed.clone() {
-                if e.stage != Stage::Waiting
-                    && (e.inst.dest_ireg().is_some() || e.inst.dest_freg().is_some())
-                {
-                    self.recover_produced[(e.seq - base_seq) as usize] = Some(e.result);
-                }
-            }
+            self.recover_produced.extend(squashed.clone().map(|e| {
+                let produces = e.inst.dest_ireg().is_some() || e.inst.dest_freg().is_some();
+                (e.stage != Stage::Waiting && produces).then_some(e.result)
+            }));
             for e in squashed {
                 if !e.inst.is_load() || e.mem_issued {
                     continue;
                 }
                 let base = match e.srcs[0] {
                     SrcState::Ready(base) => Some(base),
-                    SrcState::Waiting(p) => {
-                        // Producers outside the squashed range were never in
-                        // the map before either (only squashed entries were
-                        // inserted), so out-of-range lookups are None.
-                        p.checked_sub(base_seq)
-                            .and_then(|i| self.recover_produced.get(i as usize))
-                            .copied()
-                            .flatten()
-                    }
+                    // A producer at or before the branch survives and has
+                    // no slot in the table: None.
+                    SrcState::Waiting(p) => p
+                        .checked_sub(rid + 1)
+                        .and_then(|i| self.recover_produced.get(i as usize))
+                        .copied()
+                        .flatten(),
                 };
                 let addr = e.eff_addr.or_else(|| {
                     base.map(|b| {
@@ -554,7 +569,7 @@ impl Core {
                 }
             }
         }
-        let squashed = self.rob.squash_younger(seq);
+        let squashed = self.rob.squash_younger(rid, &mut self.rat);
         self.flush_trace.push(FlushRec {
             cycle: now.0,
             pc: branch_pc,
@@ -594,14 +609,12 @@ impl Core {
         let mut issued = 0;
         let mut k = 0;
         while k < self.rob.ready().len() && issued < self.cfg.width {
-            let idx = self
-                .rob
-                .pos(self.rob.ready()[k])
-                .expect("ready entry outside the window");
+            let rid = self.rob.ready()[k];
+            let idx = self.rob.pos(rid).expect("ready entry outside the window");
             let inst = self.rob.at(idx).inst;
             let class = inst.fu_class();
             if inst.is_load() {
-                if self.try_issue_load(env, idx, now) {
+                if self.try_issue_load(env, idx, rid, now) {
                     issued += 1;
                 }
             } else if inst.is_store() {
@@ -638,7 +651,7 @@ impl Core {
                 }
                 e.stage = Stage::Executing;
                 e.done_at = now.plus(latency);
-                self.completions.push(Reverse((e.done_at, e.seq)));
+                self.completions.push(Reverse((e.done_at, e.seq, rid)));
                 issued += 1;
             }
             if self.rob.at(idx).stage == Stage::Waiting {
@@ -649,9 +662,10 @@ impl Core {
         }
     }
 
-    /// Try to issue the load at ROB position `idx`.  Returns true if it
-    /// consumed an issue slot (even if it only computed its address).
-    fn try_issue_load(&mut self, env: &mut dyn CoreEnv, idx: usize, now: Cycle) -> bool {
+    /// Try to issue the load at ROB position `idx` (rid `rid`).  Returns
+    /// true if it consumed an issue slot (even if it only computed its
+    /// address).
+    fn try_issue_load(&mut self, env: &mut dyn CoreEnv, idx: usize, rid: u64, now: Cycle) -> bool {
         // Compute the effective address first (cheap, idempotent).
         {
             let e = self.rob.at_mut(idx);
@@ -712,7 +726,7 @@ impl Core {
             e.done_at = now.plus(1);
             e.mem_issued = true;
             e.forwarded = true;
-            self.completions.push(Reverse((e.done_at, e.seq)));
+            self.completions.push(Reverse((e.done_at, e.seq, rid)));
             self.stats.forwarded_loads.inc();
             return true;
         }
@@ -724,7 +738,7 @@ impl Core {
                 e.stage = Stage::Executing;
                 e.done_at = ready_at.max(now.plus(1));
                 e.mem_issued = true;
-                self.completions.push(Reverse((e.done_at, e.seq)));
+                self.completions.push(Reverse((e.done_at, e.seq, rid)));
                 true
             }
             // Port/MSHR pressure or dependence wait: retry next cycle (the
@@ -755,6 +769,7 @@ impl Core {
             let f = self.fetch_queue.pop_front().unwrap();
             let seq = self.next_seq;
             self.next_seq += 1;
+            let rid = self.rob.next_rid();
             let mut e = RobEntry::new(seq, f.pc, f.inst);
             e.predicted_taken = f.predicted_taken;
             e.predicted_target = f.predicted_target;
@@ -780,17 +795,13 @@ impl Core {
                 };
             }
 
-            // Checkpoint before renaming the destination: branches have no
-            // destination, so order does not matter, but keep it explicit.
-            if matches!(f.inst, Inst::Branch { .. } | Inst::Jr { .. }) {
-                e.checkpoint = Some(self.rob.checkpoint(&self.rat));
-            }
-
+            // Rename the destination, keeping the mapping it replaces for
+            // recovery to put back.
             if let Some(rd) = f.inst.dest_ireg() {
-                self.rat.set_i(rd, seq);
+                e.prev_mapping = self.rat.set_i(rd, rid);
             }
             if let Some(fd) = f.inst.dest_freg() {
-                self.rat.set_f(fd, seq);
+                e.prev_mapping = self.rat.set_f(fd, rid);
             }
 
             // Zero-latency instructions complete at dispatch.
@@ -808,14 +819,14 @@ impl Core {
         }
     }
 
-    fn producer_state(&self, producer_seq: u64, arch_value: u64) -> SrcState {
-        match self.rob.get(producer_seq) {
+    fn producer_state(&self, producer: u64, arch_value: u64) -> SrcState {
+        match self.rob.get(producer) {
             Some(p) if p.stage == Stage::Done => SrcState::Ready(p.result),
-            Some(_) => SrcState::Waiting(producer_seq),
-            // The producer already committed. This happens when a restored
-            // branch checkpoint names an entry that retired between the
-            // checkpoint and the recovery; its value is in the architectural
-            // file (sequence numbers are never reused, so no aliasing).
+            Some(_) => SrcState::Waiting(producer),
+            // The producer already committed.  This happens when recovery
+            // puts back a mapping whose entry retired while a squashed
+            // writer displaced it; its value is in the architectural file
+            // (rids below the head are never reused, so no aliasing).
             None => SrcState::Ready(arch_value),
         }
     }

@@ -1,10 +1,10 @@
 //! Architectural register state and the register alias table.
 //!
 //! Renaming is ROB-based (SimpleScalar's RUU style): the alias table maps
-//! each architectural register to the ROB entry that will produce it; values
-//! live in ROB entries until commit writes them here.  Floating-point values
-//! are stored as raw `f64` bit patterns so every dataflow path is a plain
-//! `u64`.
+//! each architectural register to the ROB entry that will produce it, by
+//! its rid (window index, see [`crate::rob`]); values live in ROB entries
+//! until commit writes them here.  Floating-point values are stored as raw
+//! `f64` bit patterns so every dataflow path is a plain `u64`.
 
 use wec_isa::reg::{FReg, Reg, NUM_FREGS, NUM_IREGS};
 
@@ -75,18 +75,21 @@ impl ArchRegs {
 }
 
 /// A renamed source slot: either architectural (use `ArchRegs` at dispatch)
-/// or a pending ROB producer, identified by its sequence number.
+/// or a ROB producer, identified by its rid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mapping {
     /// No in-flight producer; read the architectural file.
     Arch,
-    /// Produced by the ROB entry with this sequence number.
+    /// Produced by the ROB entry with this rid.  A rid below the ROB head
+    /// has retired (and is never reused): read the architectural file.
     Rob(u64),
 }
 
 /// Register alias table: one slot per integer register and one per FP
-/// register.  Snapshotted at every predicted branch for one-cycle recovery.
-#[derive(Clone, Debug)]
+/// register.  Recovery takes no snapshot: each ROB entry keeps the mapping
+/// its destination replaced (what [`set_i`](Self::set_i) returns), and a
+/// squash puts them back youngest first.
+#[derive(Debug)]
 pub struct Rat {
     slots: [Mapping; NUM_IREGS + NUM_FREGS],
 }
@@ -126,49 +129,48 @@ impl Rat {
         self.slots[Self::fslot(r)]
     }
 
-    pub fn set_i(&mut self, r: Reg, seq: u64) {
-        if !r.is_zero() {
-            self.slots[Self::islot(r)] = Mapping::Rob(seq);
+    /// Rename `r` to the ROB entry `rid`; returns the mapping it replaces.
+    pub fn set_i(&mut self, r: Reg, rid: u64) -> Mapping {
+        if r.is_zero() {
+            return Mapping::Arch;
         }
+        std::mem::replace(&mut self.slots[Self::islot(r)], Mapping::Rob(rid))
     }
 
-    pub fn set_f(&mut self, r: FReg, seq: u64) {
-        self.slots[Self::fslot(r)] = Mapping::Rob(seq);
+    /// See [`set_i`](Self::set_i).
+    pub fn set_f(&mut self, r: FReg, rid: u64) -> Mapping {
+        std::mem::replace(&mut self.slots[Self::fslot(r)], Mapping::Rob(rid))
     }
 
-    /// At commit: if the slot still names `seq`, the committing entry is the
-    /// youngest producer — future reads go to the architectural file.
-    pub fn retire(&mut self, seq: u64) {
-        for s in &mut self.slots {
-            if *s == Mapping::Rob(seq) {
-                *s = Mapping::Arch;
-            }
-        }
+    /// Undo a rename of `r` (misprediction recovery): put back the mapping
+    /// [`set_i`](Self::set_i) replaced.
+    pub(crate) fn restore_i(&mut self, r: Reg, prev: Mapping) {
+        self.slots[Self::islot(r)] = prev;
     }
 
-    /// Targeted form of [`retire`](Self::retire) for the commit stage: a
-    /// mapping to `seq` can only exist in the slots `seq` itself renamed at
-    /// dispatch (its destination registers), so only those need checking.
+    /// See [`restore_i`](Self::restore_i).
+    pub(crate) fn restore_f(&mut self, r: FReg, prev: Mapping) {
+        self.slots[Self::fslot(r)] = prev;
+    }
+
+    /// At commit of the entry `rid`, which renamed `r`: if the slot still
+    /// names it, it is the youngest producer — future reads go to the
+    /// architectural file.
     #[inline]
-    pub fn retire_i(&mut self, r: Reg, seq: u64) {
+    pub fn retire_i(&mut self, r: Reg, rid: u64) {
         let s = &mut self.slots[Self::islot(r)];
-        if *s == Mapping::Rob(seq) {
+        if *s == Mapping::Rob(rid) {
             *s = Mapping::Arch;
         }
     }
 
     /// See [`retire_i`](Self::retire_i).
     #[inline]
-    pub fn retire_f(&mut self, r: FReg, seq: u64) {
+    pub fn retire_f(&mut self, r: FReg, rid: u64) {
         let s = &mut self.slots[Self::fslot(r)];
-        if *s == Mapping::Rob(seq) {
+        if *s == Mapping::Rob(rid) {
             *s = Mapping::Arch;
         }
-    }
-
-    /// Restore from a checkpoint (branch misprediction recovery).
-    pub fn restore(&mut self, snapshot: &Rat) {
-        self.slots = snapshot.slots;
     }
 
     /// Drop every mapping (full pipeline flush).
@@ -219,10 +221,10 @@ mod tests {
         rat.set_i(Reg(5), 7);
         assert_eq!(rat.lookup_i(Reg(5)), Mapping::Rob(7));
         // A younger producer supersedes.
-        rat.set_i(Reg(5), 9);
-        rat.retire(7); // old producer retires: mapping unchanged
+        assert_eq!(rat.set_i(Reg(5), 9), Mapping::Rob(7));
+        rat.retire_i(Reg(5), 7); // old producer retires: mapping unchanged
         assert_eq!(rat.lookup_i(Reg(5)), Mapping::Rob(9));
-        rat.retire(9);
+        rat.retire_i(Reg(5), 9);
         assert_eq!(rat.lookup_i(Reg(5)), Mapping::Arch);
     }
 
@@ -244,12 +246,18 @@ mod tests {
 
     #[test]
     fn checkpoint_restore() {
+        // The table at the branch is recovered by putting back, youngest
+        // first, what each later rename replaced.
         let mut rat = Rat::new();
         rat.set_i(Reg(1), 1);
-        let snap = rat.clone();
-        rat.set_i(Reg(2), 2);
-        rat.restore(&snap);
+        let p2 = rat.set_i(Reg(2), 2);
+        let p1 = rat.set_i(Reg(1), 3);
+        let pf = rat.set_f(FReg(2), 4);
+        rat.restore_f(FReg(2), pf);
+        rat.restore_i(Reg(1), p1);
+        rat.restore_i(Reg(2), p2);
         assert_eq!(rat.lookup_i(Reg(1)), Mapping::Rob(1));
         assert_eq!(rat.lookup_i(Reg(2)), Mapping::Arch);
+        assert_eq!(rat.lookup_f(FReg(2)), Mapping::Arch);
     }
 }

@@ -25,6 +25,13 @@
 //! a wrong PC or a lost access moves a golden even when full timing and
 //! replay move together.
 //!
+//! A fourth net pins the sequence numbers a user can see: the commit trace
+//! `Machine::debug_snapshot` prints (and telemetry's `commit` events
+//! carry).  For the Figure 8 benchmarks under `wth-wp-wec`, each thread
+//! unit's retained `(cycle, seq, pc)` commit records hash to the FNV-1a
+//! digest in `tests/goldens/commit/`, so a renumbering of in-flight
+//! instructions fails even when every counter agrees.
+//!
 //! To re-record after an *intentional* model change:
 //!
 //! ```text
@@ -39,6 +46,7 @@ use wec_bench::CfgKey;
 use wec_common::stats::StatSet;
 use wec_core::config::{MachineConfig, ProcPreset};
 use wec_core::metrics::MachineMetrics;
+use wec_core::Machine;
 use wec_trace::codec::fnv1a;
 use wec_trace::{capture_run, CaptureMeta};
 use wec_workloads::{run_and_verify, Bench, Scale};
@@ -341,6 +349,86 @@ fn capture_bytes_and_ledgers_match_recorded_goldens() {
     assert!(
         failures.is_empty(),
         "captures or ledgers diverged from goldens:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Commits each thread unit's trace ring keeps for the commit-sequence pin.
+const COMMIT_TRACE: usize = 64;
+
+fn commit_path(bench: Bench) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("goldens/commit")
+        .join(format!("{}__wth-wp-wec.kv", bench.name()))
+}
+
+/// Per thread unit, the record count and FNV-1a digest of its retained
+/// commits, each hashed as little-endian `cycle` (u64), `seq` (u64) and
+/// `pc` (u32), read back from the rendered snapshot (`tuN:` headers, then
+/// `  [cycle] #seq pc=pc ...` lines).
+fn commit_digests(bench: Bench) -> String {
+    let w = bench.build(Scale::SMOKE);
+    let mut cfg = ProcPreset::WthWpWec.machine(N_TUS);
+    cfg.core.commit_trace = COMMIT_TRACE;
+    let mut m = Machine::new(cfg, &w.program).unwrap();
+    m.run()
+        .unwrap_or_else(|e| panic!("{} under wth-wp-wec: {e}", w.name));
+    let mut units: Vec<Vec<u8>> = Vec::new();
+    for line in m.debug_snapshot().lines() {
+        if line.starts_with("tu") && line.contains(':') {
+            units.push(Vec::new());
+        } else if let Some(rest) = line.strip_prefix("  [") {
+            let (cycle, rest) = rest.split_once(']').unwrap();
+            let mut fields = rest.split_whitespace();
+            let seq = fields.next().and_then(|f| f.strip_prefix('#')).unwrap();
+            let pc = fields.next().and_then(|f| f.strip_prefix("pc=")).unwrap();
+            let bytes = units.last_mut().expect("commit line before a tu header");
+            bytes.extend(cycle.trim().parse::<u64>().unwrap().to_le_bytes());
+            bytes.extend(seq.parse::<u64>().unwrap().to_le_bytes());
+            bytes.extend(pc.parse::<u32>().unwrap().to_le_bytes());
+        }
+    }
+    assert_eq!(units.len(), N_TUS, "one header per thread unit");
+    units
+        .iter()
+        .enumerate()
+        .map(|(tu, bytes)| {
+            let records = bytes.len() / (8 + 8 + 4);
+            format!("tu{tu} records {records} fnv1a {:#018x}\n", fnv1a(bytes))
+        })
+        .collect()
+}
+
+#[test]
+fn commit_sequence_numbers_match_recorded_goldens() {
+    let bless = std::env::var_os("WEC_BLESS").is_some();
+    let mut failures = Vec::new();
+    for bench in FIG8_BENCHES {
+        let got = commit_digests(bench);
+        assert!(
+            got.lines().any(|l| !l.contains("records 0 ")),
+            "{}: no commits traced",
+            bench.name()
+        );
+        let path = commit_path(bench);
+        if bless {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {} ({e}); record it with WEC_BLESS=1",
+                path.display()
+            )
+        });
+        if got != want {
+            failures.push(format!("{}:\n{}", bench.name(), kv_diff(&got, &want)));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "commit traces diverged from goldens:\n{}",
         failures.join("\n")
     );
 }
