@@ -23,6 +23,10 @@
 //! * without a WEC, wrong-execution fills go straight into the L1 — exactly
 //!   the pollution the paper measures in its `wp`/`wth` configurations.
 //!
+//! The L1 is a set-associative [`Cache`]; the side structure is a
+//! fully-associative [`SideCache`], whose miss filter answers most probes
+//! (most L1 misses miss the side structure too) without a scan.
+//!
 //! # Observation
 //!
 //! The data path reports what it does as one event stream: each
@@ -46,6 +50,7 @@ use wec_mem::line::LineFlags;
 use wec_mem::mshr::{MshrOutcome, Mshrs};
 use wec_mem::ports::PortSet;
 use wec_mem::prefetch::TaggedNextLine;
+use wec_mem::side::SideCache;
 use wec_mem::stats::{AccessKind, CacheStats};
 use wec_telemetry::attr::{AttrProbe, FillOrigin};
 
@@ -211,7 +216,7 @@ pub enum DpResult {
 pub struct DataPath {
     cfg: DataPathConfig,
     l1: Cache,
-    side: Option<Cache>,
+    side: Option<SideCache>,
     ports: PortSet,
     mshrs: Mshrs,
     nlp: TaggedNextLine,
@@ -225,10 +230,7 @@ impl DataPath {
         let geom = CacheGeometry::from_capacity(cfg.capacity_bytes, cfg.ways, cfg.block_bytes)?;
         let side = match cfg.side {
             SideKind::None => None,
-            _ => Some(Cache::new(CacheGeometry::fully_associative(
-                cfg.side_entries,
-                cfg.block_bytes,
-            ))),
+            _ => Some(SideCache::new(cfg.side_entries, cfg.block_bytes)),
         };
         Ok(DataPath {
             cfg,
@@ -343,10 +345,10 @@ impl DataPath {
         self.emit(now, addr, DpEvent::Demand { hit: false });
 
         // L1 miss: probe the side structure.
-        if let Some(side_line) = self.side.as_mut().and_then(|s| s.take(addr)) {
+        if let Some(side_flags) = self.side.as_mut().and_then(|s| s.take(addr)) {
             self.stats.side_hits.inc();
-            let was_wrong = side_line.flags.wrong_fetched;
-            let was_prefetched = side_line.flags.prefetched;
+            let was_wrong = side_flags.wrong_fetched;
+            let was_prefetched = side_flags.prefetched;
             self.emit(
                 now,
                 addr,
@@ -363,7 +365,7 @@ impl DataPath {
             }
             // The block moves into the L1 as a demanded block.
             let flags = LineFlags {
-                dirty: side_line.flags.dirty || is_store,
+                dirty: side_flags.dirty || is_store,
                 ..LineFlags::DEMAND
             };
             match self.cfg.side {
@@ -596,7 +598,7 @@ impl DataPath {
     /// Valid lines currently held by the side structure (WEC occupancy for
     /// the telemetry sampler; 0 without a side structure).
     pub fn side_occupancy(&self) -> usize {
-        self.side.as_ref().map_or(0, |s| s.valid_lines())
+        self.side.as_ref().map_or(0, |s| s.occupancy())
     }
 }
 

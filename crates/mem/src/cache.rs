@@ -1,11 +1,11 @@
 //! Set-associative tag array with true LRU replacement.
 //!
-//! One structure covers every cache in the machine: the direct-mapped or
-//! 4-way L1s (a direct-mapped cache is `ways = 1`), the 4-way unified L2,
-//! and the small fully-associative structures (WEC, victim cache, prefetch
-//! buffer — `sets = 1`).
+//! One structure covers the machine's caches: the direct-mapped or 4-way
+//! L1s (a direct-mapped cache is `ways = 1`) and the 4-way unified L2.
+//! The small fully-associative side structures (WEC, victim cache,
+//! prefetch buffer) have their own type, [`SideCache`](crate::side::SideCache).
 
-use crate::line::{Line, LineFlags};
+use crate::line::LineFlags;
 use wec_common::error::{SimError, SimResult};
 use wec_common::ids::Addr;
 
@@ -46,18 +46,6 @@ impl CacheGeometry {
             ways,
             block_bytes,
         })
-    }
-
-    /// A fully-associative structure with `entries` blocks (WEC, victim
-    /// cache, prefetch buffer).
-    pub fn fully_associative(entries: usize, block_bytes: u64) -> Self {
-        assert!(entries >= 1);
-        assert!(block_bytes.is_power_of_two());
-        CacheGeometry {
-            sets: 1,
-            ways: entries,
-            block_bytes,
-        }
     }
 
     pub fn total_bytes(&self) -> u64 {
@@ -249,21 +237,6 @@ impl Cache {
         evicted
     }
 
-    /// Remove and return the block containing `addr` (used by swap paths:
-    /// WEC↔L1, victim-cache↔L1).
-    pub fn take(&mut self, addr: Addr) -> Option<Line> {
-        let slot = self.find(addr)?;
-        let line = Line::new(self.tags[slot], self.flags[slot]);
-        self.tags[slot] = INVALID;
-        self.stamps[slot] = 0;
-        Some(line)
-    }
-
-    /// Invalidate the block containing `addr` if resident.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<Line> {
-        self.take(addr)
-    }
-
     /// Mark the block containing `addr` dirty if resident (store hit).
     /// Returns true on hit.
     pub fn set_dirty(&mut self, addr: Addr) -> bool {
@@ -317,8 +290,9 @@ mod tests {
         Cache::new(CacheGeometry::from_capacity(8 * 1024, 1, 64).unwrap())
     }
 
-    fn fa(entries: usize) -> Cache {
-        Cache::new(CacheGeometry::fully_associative(entries, 64))
+    /// Two sets of two ways, 64 B blocks.
+    fn two_way() -> Cache {
+        Cache::new(CacheGeometry::from_capacity(4 * 64, 2, 64).unwrap())
     }
 
     #[test]
@@ -370,7 +344,7 @@ mod tests {
         for geom in [
             CacheGeometry::from_capacity(8 * 1024, 1, 64).unwrap(),
             CacheGeometry::from_capacity(512 * 1024, 4, 128).unwrap(),
-            CacheGeometry::fully_associative(24, 64),
+            CacheGeometry::from_capacity(24 * 64, 24, 64).unwrap(),
         ] {
             let c = Cache::new(geom);
             for a in [
@@ -440,40 +414,13 @@ mod tests {
 
     #[test]
     fn insert_existing_block_updates_flags_without_eviction() {
-        let mut c = fa(2);
+        let mut c = two_way();
         let a = Addr(0x100);
         c.insert(a, LineFlags::WRONG);
         assert!(c.peek(a).unwrap().wrong_fetched);
         assert!(c.insert(a, LineFlags::DEMAND).is_none());
         assert!(!c.peek(a).unwrap().wrong_fetched);
         assert_eq!(c.valid_lines(), 1);
-    }
-
-    #[test]
-    fn take_removes_for_swap() {
-        let mut c = fa(4);
-        let a = Addr(0x40);
-        c.insert(a, LineFlags::PREFETCH);
-        let line = c.take(a).unwrap();
-        assert!(line.flags.prefetched);
-        assert!(!c.contains(a));
-        assert!(c.take(a).is_none());
-    }
-
-    #[test]
-    fn insert_after_take_refills_the_vacated_way() {
-        // A full set with a hole that is not its LRU way: the next insert
-        // fills the hole and evicts nothing.
-        let mut c = fa(4);
-        for i in 0..4u64 {
-            c.insert(Addr(i * 64), LineFlags::DEMAND);
-        }
-        c.take(Addr(2 * 64)).unwrap();
-        assert!(c.insert(Addr(9 * 64), LineFlags::DEMAND).is_none());
-        assert_eq!(c.valid_lines(), 4);
-        // Block 0 is still the LRU way and goes next.
-        let ev = c.insert(Addr(10 * 64), LineFlags::DEMAND).unwrap();
-        assert_eq!(ev.addr, Addr(0));
     }
 
     #[test]
@@ -487,20 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn fully_associative_fills_all_entries_before_evicting() {
-        let mut c = fa(8);
-        for i in 0..8u64 {
-            assert!(c.insert(Addr(i * 64), LineFlags::DEMAND).is_none());
-        }
-        assert_eq!(c.valid_lines(), 8);
-        let ev = c.insert(Addr(8 * 64), LineFlags::DEMAND).unwrap();
-        assert_eq!(ev.addr, Addr(0)); // first-inserted is LRU
-        assert!(c.check_no_duplicate_tags());
-    }
-
-    #[test]
     fn resident_blocks_enumerates() {
-        let mut c = fa(4);
+        let mut c = two_way();
         c.insert(Addr(0x40), LineFlags::WRONG);
         c.insert(Addr(0x80), LineFlags::DEMAND);
         let mut blocks: Vec<Addr> = c.resident_blocks().map(|(a, _)| a).collect();

@@ -41,20 +41,6 @@ impl LineFlags {
     };
 }
 
-/// One cache line: a tag plus metadata, as handed out by
-/// [`Cache::take`](crate::cache::Cache::take).  A `Line` is always valid.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Line {
-    pub tag: u64,
-    pub flags: LineFlags,
-}
-
-impl Line {
-    pub fn new(tag: u64, flags: LineFlags) -> Self {
-        Line { tag, flags }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,12 +51,5 @@ mod tests {
         assert!(!demand.wrong_fetched);
         assert!(wrong.wrong_fetched && !wrong.dirty);
         assert!(prefetch.prefetched);
-    }
-
-    #[test]
-    fn line_construction() {
-        let l = Line::new(0x42, LineFlags::WRONG);
-        assert_eq!(l.tag, 0x42);
-        assert!(l.flags.wrong_fetched);
     }
 }

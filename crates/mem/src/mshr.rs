@@ -7,6 +7,10 @@
 //! touch blocks correct execution is about to miss on, and the merge is
 //! precisely how a late wrong-execution prefetch still shortens the correct
 //! miss.
+//!
+//! Every L1 and L2 access first expires the refills that have completed.
+//! The file remembers its earliest outstanding completion, so until that
+//! cycle the expiry returns without looking at an entry.
 
 use wec_common::ids::{Addr, Cycle};
 
@@ -27,6 +31,9 @@ pub enum MshrOutcome {
 #[derive(Clone, Debug)]
 pub struct Mshrs {
     entries: Vec<(Addr, Cycle)>,
+    /// The earliest completion among `entries` (`Cycle(u64::MAX)` when
+    /// empty): nothing expires before it.
+    earliest: Cycle,
     capacity: usize,
     block_bytes: u64,
 }
@@ -36,6 +43,7 @@ impl Mshrs {
         assert!(capacity >= 1);
         Mshrs {
             entries: Vec::with_capacity(capacity),
+            earliest: Cycle(u64::MAX),
             capacity,
             block_bytes,
         }
@@ -43,13 +51,25 @@ impl Mshrs {
 
     /// Drop entries whose refill completed at or before `now`.
     fn expire(&mut self, now: Cycle) {
+        if now < self.earliest {
+            return;
+        }
         self.entries.retain(|&(_, ready)| ready > now);
+        self.earliest = self
+            .entries
+            .iter()
+            .map(|&(_, ready)| ready)
+            .min()
+            .unwrap_or(Cycle(u64::MAX));
     }
 
     /// Is a refill for the block containing `addr` already in flight? If so,
     /// when does it complete?
     pub fn pending(&mut self, addr: Addr, now: Cycle) -> Option<Cycle> {
         self.expire(now);
+        if self.entries.is_empty() {
+            return None;
+        }
         let base = addr.block_base(self.block_bytes);
         self.entries
             .iter()
@@ -76,6 +96,7 @@ impl Mshrs {
         let ready = fetch();
         debug_assert!(ready > now, "refill must take at least one cycle");
         self.entries.push((base, ready));
+        self.earliest = self.earliest.min(ready);
         MshrOutcome::NewMiss(ready)
     }
 
@@ -128,5 +149,26 @@ mod tests {
         m.register(Addr(0x100), Cycle(0), || Cycle(30));
         assert_eq!(m.pending(Addr(0x108), Cycle(1)), Some(Cycle(30)));
         assert_eq!(m.pending(Addr(0x100), Cycle(30)), None);
+    }
+
+    #[test]
+    fn each_refill_expires_at_its_own_cycle() {
+        // The later refill registers first, so the earliest completion
+        // drops after it was set; after the first expiry the file must
+        // wait for the second refill's own cycle.
+        let mut m = Mshrs::new(4, 64);
+        m.register(Addr(0x000), Cycle(0), || Cycle(80));
+        m.register(Addr(0x040), Cycle(1), || Cycle(40));
+        assert_eq!(m.in_flight(Cycle(39)), 2);
+        assert_eq!(m.in_flight(Cycle(40)), 1);
+        assert_eq!(m.pending(Addr(0x040), Cycle(40)), None);
+        assert_eq!(m.pending(Addr(0x000), Cycle(79)), Some(Cycle(80)));
+        assert_eq!(m.in_flight(Cycle(79)), 1);
+        assert_eq!(m.in_flight(Cycle(80)), 0);
+        assert_eq!(m.pending(Addr(0x000), Cycle(80)), None);
+        // Empty again: a new refill starts a fresh earliest completion.
+        m.register(Addr(0x080), Cycle(90), || Cycle(120));
+        assert_eq!(m.in_flight(Cycle(119)), 1);
+        assert_eq!(m.in_flight(Cycle(120)), 0);
     }
 }

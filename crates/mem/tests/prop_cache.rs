@@ -1,10 +1,12 @@
-//! Property tests: the set-associative cache against an executable
-//! reference model (a per-set most-recent-first list).
+//! Property tests: the set-associative cache and the fully-associative
+//! side structure against one executable reference model (a per-set
+//! most-recent-first list).
 
 use proptest::prelude::*;
 use wec_common::ids::Addr;
 use wec_mem::cache::{Cache, CacheGeometry};
 use wec_mem::line::LineFlags;
+use wec_mem::side::SideCache;
 
 /// Reference model: per set, a most-recent-first vector of (tag, flags).
 struct RefCache {
@@ -91,12 +93,12 @@ impl Op {
 /// Addresses in a window that exercises conflicts: a few hundred blocks.
 const OP_WINDOW: u64 = 1 << 14;
 
+/// The set-associative cache's operations (it has no `take`).
 fn op_strategy() -> impl Strategy<Value = Op> {
     let addr = 0u64..OP_WINDOW;
     prop_oneof![
         (addr.clone(), any::<u8>()).prop_map(|(a, f)| Op::Insert(a, f)),
         addr.clone().prop_map(Op::Touch),
-        addr.clone().prop_map(Op::Take),
         addr.prop_map(Op::Contains),
     ]
 }
@@ -125,6 +127,12 @@ fn flags_of(bits: u8) -> LineFlags {
     }
 }
 
+/// `op`'s address folded into a window of `window_blocks` blocks.
+fn folded(op: &Op, block: u64, window_blocks: u64) -> Addr {
+    let raw = op.addr();
+    Addr((raw / block % window_blocks) * block + raw % block)
+}
+
 /// Drive `ops` through a cache of shape `geom` and the reference model,
 /// after folding every address into `window_blocks` blocks.
 fn check_against_reference(
@@ -135,10 +143,7 @@ fn check_against_reference(
     let mut cache = Cache::new(geom);
     let mut reference = RefCache::new(geom);
     for op in ops {
-        let raw = op.addr();
-        let a = Addr(
-            (raw / geom.block_bytes % window_blocks) * geom.block_bytes + raw % geom.block_bytes,
-        );
+        let a = folded(op, geom.block_bytes, window_blocks);
         match *op {
             Op::Insert(_, bits) => {
                 let flags = flags_of(bits);
@@ -150,10 +155,7 @@ fn check_against_reference(
                 let got = cache.touch(a).map(|f| *f);
                 prop_assert_eq!(got, reference.touch(a));
             }
-            Op::Take(_) => {
-                let got = cache.take(a).map(|l| l.flags);
-                prop_assert_eq!(got, reference.take(a));
-            }
+            Op::Take(_) => unreachable!("the set-associative cache has no take"),
             Op::Contains(_) => {
                 prop_assert_eq!(cache.contains(a), reference.contains(a));
             }
@@ -162,6 +164,62 @@ fn check_against_reference(
         prop_assert!(cache.valid_lines() <= geom.sets as usize * geom.ways);
     }
     Ok(())
+}
+
+/// The side structure's structural check, where the library compiles it
+/// (test and debug builds).
+fn structure_ok(side: &SideCache) -> Result<(), String> {
+    #[cfg(debug_assertions)]
+    return side.check();
+    #[cfg(not(debug_assertions))]
+    Ok(())
+}
+
+/// Drive `ops` through a side structure of `entries` 64-byte blocks and
+/// the reference model (one set of `entries` ways), after folding every
+/// address into `window_blocks` blocks; the structural check runs after
+/// every operation.
+fn check_side_against_reference(
+    entries: usize,
+    ops: &[Op],
+    window_blocks: u64,
+) -> Result<(), String> {
+    let geom = CacheGeometry {
+        sets: 1,
+        ways: entries,
+        block_bytes: 64,
+    };
+    let mut side = SideCache::new(entries, geom.block_bytes);
+    let mut reference = RefCache::new(geom);
+    for op in ops {
+        let a = folded(op, geom.block_bytes, window_blocks);
+        match *op {
+            Op::Insert(_, bits) => {
+                let flags = flags_of(bits);
+                let got = side.insert(a, flags);
+                let want = reference.insert(a, flags);
+                prop_assert_eq!(got.map(|e| (e.addr, e.flags)), want);
+            }
+            Op::Touch(_) => {
+                prop_assert_eq!(side.touch(a), reference.touch(a));
+            }
+            Op::Take(_) => {
+                prop_assert_eq!(side.take(a), reference.take(a));
+            }
+            Op::Contains(_) => {
+                prop_assert_eq!(side.contains(a), reference.contains(a));
+            }
+        }
+        structure_ok(&side)?;
+        prop_assert_eq!(side.occupancy(), reference.data[0].len());
+    }
+    Ok(())
+}
+
+/// The entry counts the side-structure properties run: every sweep size,
+/// odd sizes, and the largest the wire accepts.
+fn side_entries() -> Vec<usize> {
+    vec![1, 2, 3, 4, 8, 16, 24, 32, 64, 128, 255]
 }
 
 proptest! {
@@ -176,29 +234,29 @@ proptest! {
         check_against_reference(geom, &ops, OP_WINDOW / 64)?;
     }
 
-    /// The side-structure sizes of the geometry sweep.  The address window
-    /// is twice the entry count, so the set fills, evicts, and refills the
-    /// holes that `take` leaves: the victim must be the first vacated way,
-    /// else the exact LRU entry, with its flags intact.
+    /// The side structure at the sizes of the geometry sweep and beyond.
+    /// The address window is twice the entry count, so the structure
+    /// fills, evicts, and refills the holes that `take` leaves: the victim
+    /// must be a free slot, else the exact LRU entry, with its flags intact.
     #[test]
     fn fully_associative_matches_reference_model(
         ops in proptest::collection::vec(fill_heavy_op_strategy(), 1..1200),
-        entries in proptest::sample::select(vec![2usize, 4, 8, 16, 24, 32, 64, 128]),
+        entries in proptest::sample::select(side_entries()),
     ) {
-        let geom = CacheGeometry::fully_associative(entries, 64);
-        check_against_reference(geom, &ops, 2 * entries as u64)?;
+        check_side_against_reference(entries, &ops, 2 * entries as u64)?;
     }
 
     #[test]
     fn fully_associative_never_exceeds_capacity(
         addrs in proptest::collection::vec(0u64..(1 << 16), 1..200),
-        entries in 1usize..=16,
+        entries in proptest::sample::select(side_entries()),
     ) {
-        let mut c = Cache::new(CacheGeometry::fully_associative(entries, 64));
+        let mut c = SideCache::new(entries, 64);
         for a in addrs {
             c.insert(Addr(a), LineFlags::WRONG);
-            prop_assert!(c.valid_lines() <= entries);
+            prop_assert!(c.occupancy() <= entries);
             prop_assert!(c.contains(Addr(a)), "just-inserted block must be resident");
+            structure_ok(&c)?;
         }
     }
 

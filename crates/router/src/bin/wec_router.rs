@@ -60,9 +60,8 @@ fn main() {
                 cfg.retries = value("--retries").parse().expect("--retries N");
             }
             "--backoff-ms" => {
-                cfg.backoff_cap = Duration::from_millis(
-                    value("--backoff-ms").parse().expect("--backoff-ms N"),
-                );
+                cfg.backoff_cap =
+                    Duration::from_millis(value("--backoff-ms").parse().expect("--backoff-ms N"));
             }
             "--io-timeout-ms" => {
                 cfg.io_timeout = Duration::from_millis(

@@ -288,7 +288,10 @@ fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut Reply<'_, W>) ->
                 if resp.status == 200 {
                     backend.routed.fetch_add(1, Ordering::SeqCst);
                     state.proxied.fetch_add(1, Ordering::SeqCst);
-                    let body = resp.body_utf8().ok().and_then(|b| rewrite_record_id(b, idx));
+                    let body = resp
+                        .body_utf8()
+                        .ok()
+                        .and_then(|b| rewrite_record_id(b, idx));
                     return match body {
                         Some(b) => w.json(200, "OK", &b),
                         None => w.error(
@@ -299,7 +302,11 @@ fn submit<W: Write>(state: &RouterState, req: &Request, w: &mut Reply<'_, W>) ->
                     };
                 }
                 // Backend-blamed answers (400 etc.) pass through as-is.
-                let reason = if resp.status == 400 { "Bad Request" } else { "Bad Gateway" };
+                let reason = if resp.status == 400 {
+                    "Bad Request"
+                } else {
+                    "Bad Gateway"
+                };
                 return w.send(
                     resp.status,
                     reason,
@@ -381,7 +388,11 @@ fn job_route<W: Write>(
     // and attribution) get their id rewritten; everything else — result
     // bytes, error objects, attribution reports — passes through
     // untouched, byte-identical to a direct fetch.
-    let body = match resp.body_utf8().ok().and_then(|b| rewrite_record_id(b, idx)) {
+    let body = match resp
+        .body_utf8()
+        .ok()
+        .and_then(|b| rewrite_record_id(b, idx))
+    {
         Some(b) => b.into_bytes(),
         None => resp.body.clone(),
     };

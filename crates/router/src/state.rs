@@ -392,12 +392,36 @@ impl RouterState {
         }
         let sp = sums.spec.unwrap_or([0; 6]);
         for (name, help, v) in [
-            ("wec_router_spec_started_total", "Cluster-wide speculations started.", sp[0]),
-            ("wec_router_spec_hit_total", "Cluster-wide speculations claimed by demand.", sp[1]),
-            ("wec_router_spec_miss_total", "Cluster-wide demand misses the predictor did not cover.", sp[2]),
-            ("wec_router_spec_waste_total", "Cluster-wide speculations reclaimed unclaimed.", sp[3]),
-            ("wec_router_spec_cancelled_total", "Cluster-wide speculations cancelled before running.", sp[4]),
-            ("wec_router_spec_pending_total", "Cluster-wide speculations still in flight.", sp[5]),
+            (
+                "wec_router_spec_started_total",
+                "Cluster-wide speculations started.",
+                sp[0],
+            ),
+            (
+                "wec_router_spec_hit_total",
+                "Cluster-wide speculations claimed by demand.",
+                sp[1],
+            ),
+            (
+                "wec_router_spec_miss_total",
+                "Cluster-wide demand misses the predictor did not cover.",
+                sp[2],
+            ),
+            (
+                "wec_router_spec_waste_total",
+                "Cluster-wide speculations reclaimed unclaimed.",
+                sp[3],
+            ),
+            (
+                "wec_router_spec_cancelled_total",
+                "Cluster-wide speculations cancelled before running.",
+                sp[4],
+            ),
+            (
+                "wec_router_spec_pending_total",
+                "Cluster-wide speculations still in flight.",
+                sp[5],
+            ),
         ] {
             counter(&mut out, name, help, v);
         }
@@ -574,7 +598,9 @@ mod tests {
         let rid = compose_id(1, 5).unwrap();
         assert_eq!(
             out,
-            format!("{{\"schema\":\"wec-job-record-v1\",\"id\":{rid},\"kind\":\"sim\",\"scale\":1}}")
+            format!(
+                "{{\"schema\":\"wec-job-record-v1\",\"id\":{rid},\"kind\":\"sim\",\"scale\":1}}"
+            )
         );
         assert!(rewrite_record_id("{\"error\":\"nope\"}", 1).is_none());
     }
@@ -624,7 +650,10 @@ mod tests {
         schema::validate_router_stats_json(&doc).unwrap();
         assert!(!doc.contains("\"spec\":{"), "{doc}");
         assert_eq!(
-            u64_at(&json::parse(&doc).unwrap(), &["cluster", "backends", "draining"]),
+            u64_at(
+                &json::parse(&doc).unwrap(),
+                &["cluster", "backends", "draining"]
+            ),
             1
         );
     }

@@ -343,14 +343,26 @@ fn queue_full_is_retried_in_place_then_passed_through() {
 
     let raw = send_raw(
         raddr,
-        raw_request("POST", "/jobs", Some("{\"bench\": \"181.mcf\", \"scale\": 1}")).as_bytes(),
+        raw_request(
+            "POST",
+            "/jobs",
+            Some("{\"bench\": \"181.mcf\", \"scale\": 1}"),
+        )
+        .as_bytes(),
     );
     assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-    assert!(raw.contains("Retry-After: 0"), "the owner's hint passes through: {raw}");
+    assert!(
+        raw.contains("Retry-After: 0"),
+        "the owner's hint passes through: {raw}"
+    );
     assert_eq!(posts.load(Ordering::SeqCst), 3, "1 attempt + 2 retries");
     assert_eq!(state.retries.load(Ordering::SeqCst), 2);
     assert_eq!(state.rejected.load(Ordering::SeqCst), 1);
-    assert_eq!(state.resharded.load(Ordering::SeqCst), 0, "answered by the primary");
+    assert_eq!(
+        state.resharded.load(Ordering::SeqCst),
+        0,
+        "answered by the primary"
+    );
     drain_router(raddr, hr);
 }
 
@@ -602,7 +614,11 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
 
     // Spec validation happens at the router: garbage gets a 400 here and
     // the backend never sees a byte of it.
-    for body in ["{not json", "{\"bench\": \"999.nope\"}", "{\"bench\": \"181.mcf\", \"oops\": 1}"] {
+    for body in [
+        "{not json",
+        "{\"bench\": \"999.nope\"}",
+        "{\"bench\": \"181.mcf\", \"oops\": 1}",
+    ] {
         let (s, _) = request(raddr, "POST", "/jobs", Some(body));
         assert_eq!(s, 400, "{body}");
     }
@@ -610,7 +626,12 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
     // (backend index 0) and an index beyond the ring.
     let (s, _) = request(raddr, "GET", "/jobs/12345", None);
     assert_eq!(s, 404);
-    let (s, _) = request(raddr, "GET", &format!("/jobs/{}", 9u64 << LOCAL_ID_BITS), None);
+    let (s, _) = request(
+        raddr,
+        "GET",
+        &format!("/jobs/{}", 9u64 << LOCAL_ID_BITS),
+        None,
+    );
     assert_eq!(s, 404);
     let (s, _) = request(raddr, "GET", "/jobs/notanid", None);
     assert_eq!(s, 404);
@@ -619,7 +640,10 @@ fn malformed_and_unroutable_requests_never_reach_a_backend() {
     assert_eq!(posts.load(Ordering::SeqCst), 0);
 
     let (s, body) = request(raddr, "GET", "/healthz", None);
-    assert_eq!((s, body.as_str()), (200, "{\"ok\":true,\"draining\":false}"));
+    assert_eq!(
+        (s, body.as_str()),
+        (200, "{\"ok\":true,\"draining\":false}")
+    );
     drain_router(raddr, hr);
 }
 

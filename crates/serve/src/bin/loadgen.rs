@@ -341,7 +341,7 @@ fn main() {
                             WALK_SIDES[idx]
                         );
                         step += 1;
-                        if step % 7 == 0 {
+                        if step.is_multiple_of(7) {
                             idx = (idx + 5) % WALK_SIDES.len();
                         } else {
                             if idx == 0 {

@@ -680,7 +680,10 @@ mod tests {
         // The conservation invariant and the by-source completion split.
         let sp = s.spec.unwrap();
         assert_eq!(sp.hit + sp.waste + sp.cancelled + sp.pending, sp.started);
-        assert_eq!(s.cold + s.disk_hits + s.mem_hits + sp.warm_hits, s.completed);
+        assert_eq!(
+            s.cold + s.disk_hits + s.mem_hits + sp.warm_hits,
+            s.completed
+        );
     }
 
     #[test]

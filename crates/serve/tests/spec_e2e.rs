@@ -121,7 +121,10 @@ fn speculation_off_emits_the_v1_surface_with_no_spec_tokens() {
     let (s, stats) = request(addr, "GET", "/stats", None);
     assert_eq!(s, 200);
     schema::validate_serve_stats_json(&stats).unwrap();
-    assert!(stats.contains("\"schema\":\"wec-serve-stats-v1\""), "{stats}");
+    assert!(
+        stats.contains("\"schema\":\"wec-serve-stats-v1\""),
+        "{stats}"
+    );
     assert!(!stats.contains("spec"), "{stats}");
 
     // /metrics carries no speculation series and no spec source split.
@@ -151,7 +154,8 @@ fn speculation_off_emits_the_v1_surface_with_no_spec_tokens() {
 #[test]
 fn sweep_walk_is_served_speculatively_and_byte_identical_to_on_demand() {
     let logs = scratch("walk-logs");
-    let (on_state, on_addr, on_handle) = start(spec_cfg(scratch("walk-store-on"), Some(logs.clone())));
+    let (on_state, on_addr, on_handle) =
+        start(spec_cfg(scratch("walk-store-on"), Some(logs.clone())));
     let (_off_state, off_addr, off_handle) = start(ServeConfig {
         workers: 2,
         queue_cap: 16,
@@ -212,7 +216,10 @@ fn sweep_walk_is_served_speculatively_and_byte_identical_to_on_demand() {
     assert!(report.done >= walk.len() as u64, "{report:?}");
     let stats = std::fs::read_to_string(logs.join("stats.json")).unwrap();
     schema::validate_serve_stats_json(&stats).unwrap();
-    assert!(stats.contains("\"schema\":\"wec-serve-stats-v2\""), "{stats}");
+    assert!(
+        stats.contains("\"schema\":\"wec-serve-stats-v2\""),
+        "{stats}"
+    );
 }
 
 #[test]

@@ -1297,7 +1297,14 @@ pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, S
         .ok_or_else(|| format!("{ctx}: missing/invalid \"draining\""))?;
     no_extra_fields(
         v,
-        &["schema", "uptime_ms", "draining", "router", "backends", "cluster"],
+        &[
+            "schema",
+            "uptime_ms",
+            "draining",
+            "router",
+            "backends",
+            "cluster",
+        ],
         ctx,
     )?;
 
@@ -1344,7 +1351,14 @@ pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, S
         require_u64(b, "routed", &bctx)?;
         no_extra_fields(
             b,
-            &["id", "addr", "state", "consecutive_failures", "routed", "stats"],
+            &[
+                "id",
+                "addr",
+                "state",
+                "consecutive_failures",
+                "routed",
+                "stats",
+            ],
             &bctx,
         )?;
         let Some(stats) = b.get("stats") else {
@@ -1390,7 +1404,11 @@ pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, S
         .get("backends")
         .ok_or_else(|| format!("{cl}: missing \"backends\""))?;
     let cbctx = format!("{cl} backends");
-    for (key, want) in [("healthy", healthy), ("draining", draining_n), ("dead", dead)] {
+    for (key, want) in [
+        ("healthy", healthy),
+        ("draining", draining_n),
+        ("dead", dead),
+    ] {
         let got = require_u64(cb, key, &cbctx)?;
         if got != want {
             return Err(format!(
@@ -1413,7 +1431,11 @@ pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, S
             ));
         }
     }
-    no_extra_fields(jobs, &["submitted", "deduped", "completed", "failed"], &jctx)?;
+    no_extra_fields(
+        jobs,
+        &["submitted", "deduped", "completed", "failed"],
+        &jctx,
+    )?;
 
     let cache = cluster
         .get("cache")
@@ -1682,11 +1704,7 @@ pub fn validate_dashboard_data_json(text: &str) -> Result<usize, String> {
         let speculative = match j.get("speculative") {
             None => false,
             Some(Json::Bool(true)) => true,
-            Some(_) => {
-                return Err(format!(
-                    "{jctx}: \"speculative\" must be true when present"
-                ))
-            }
+            Some(_) => return Err(format!("{jctx}: \"speculative\" must be true when present")),
         };
         let submissions = require_u64(j, "submissions", &jctx)?;
         if submissions == 0 && !speculative {
@@ -2032,14 +2050,19 @@ mod tests {
         // submissions and source "spec"; a reclaimed one is "cancelled".
         let spec_done = job_record("done", "spec", "", "{\"cycles\":48000}")
             .replace("\"submissions\":2", "\"submissions\":0")
-            .replace("\"sim_cycles\":48000", "\"sim_cycles\":48000,\"speculative\":true");
+            .replace(
+                "\"sim_cycles\":48000",
+                "\"sim_cycles\":48000,\"speculative\":true",
+            );
         validate_job_record(&json::parse(&spec_done).unwrap(), "t").unwrap();
         let spec_cancelled = job_record("cancelled", "none", "", "{}")
             .replace("\"submissions\":2", "\"submissions\":0")
-            .replace("\"sim_cycles\":48000", "\"sim_cycles\":48000,\"speculative\":true");
+            .replace(
+                "\"sim_cycles\":48000",
+                "\"sim_cycles\":48000,\"speculative\":true",
+            );
         validate_job_record(&json::parse(&spec_cancelled).unwrap(), "t").unwrap();
-        let report =
-            validate_jobs_jsonl(&format!("{spec_done}\n{spec_cancelled}\n")).unwrap();
+        let report = validate_jobs_jsonl(&format!("{spec_done}\n{spec_cancelled}\n")).unwrap();
         assert_eq!(
             report,
             JobsReport {

@@ -32,6 +32,13 @@
 //! digest in `tests/goldens/commit/`, so a renumbering of in-flight
 //! instructions fails even when every counter agrees.
 //!
+//! A fifth net pins replay away from the captured point, where no
+//! full-timing run can check it: mcf and parser captured at the replay
+//! sweep's capture point, then replayed under `wth-wp-wec` and
+//! `wth-wp-vc` at 2, 32 and 128 side entries and 1- and 4-way L1s.  Each
+//! point's counter listing hashes to one FNV-1a digest per line in
+//! `tests/goldens/replay/`.
+//!
 //! To re-record after an *intentional* model change:
 //!
 //! ```text
@@ -42,13 +49,14 @@
 
 use std::path::PathBuf;
 
+use wec_bench::tracerun::capture_key;
 use wec_bench::CfgKey;
 use wec_common::stats::StatSet;
 use wec_core::config::{MachineConfig, ProcPreset};
 use wec_core::metrics::MachineMetrics;
 use wec_core::Machine;
 use wec_trace::codec::fnv1a;
-use wec_trace::{capture_run, CaptureMeta};
+use wec_trace::{cache_stat_subset, capture_run, kv_string, replay_slab, CaptureMeta, TraceSlab};
 use wec_workloads::{run_and_verify, Bench, Scale};
 
 const PRESETS: [ProcPreset; 3] = [ProcPreset::Orig, ProcPreset::Wp, ProcPreset::WthWpWec];
@@ -429,6 +437,103 @@ fn commit_sequence_numbers_match_recorded_goldens() {
     assert!(
         failures.is_empty(),
         "commit traces diverged from goldens:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Benchmarks the replay pin captures: the two with the highest L1D miss
+/// rates, so the side structure sees the most probes and fills.
+const REPLAY_BENCHES: [Bench; 2] = [Bench::Mcf, Bench::Parser];
+
+fn replay_path(bench: Bench) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("goldens/replay")
+        .join(format!("{}.txt", bench.name()))
+}
+
+/// The pinned replay points: both side structures of the geometry sweep,
+/// at its smallest, a middle and its largest entry count, each with a
+/// direct-mapped and a 4-way L1 (12 points).
+fn replay_keys() -> Vec<CfgKey> {
+    let mut keys = Vec::new();
+    for preset in [ProcPreset::WthWpWec, ProcPreset::WthWpVc] {
+        for side_entries in [2u8, 32, 128] {
+            for l1_ways in [1u8, 4] {
+                keys.push(CfgKey {
+                    preset,
+                    side_entries,
+                    l1_ways,
+                    ..capture_key()
+                });
+            }
+        }
+    }
+    keys
+}
+
+/// One capture at the sweep's capture point, replayed at every pinned
+/// point: one line per point with the FNV-1a digest of its counter
+/// listing (`kv_string` of the cache-counter subset).
+fn replay_digests(bench: Bench) -> String {
+    let w = bench.build(Scale::SMOKE);
+    let key = capture_key();
+    let meta = CaptureMeta {
+        bench: w.name.to_string(),
+        scale_units: Scale::SMOKE.units,
+        cfg_label: key.label(),
+    };
+    let (_, trace) =
+        capture_run(&w, key.build(), &meta).unwrap_or_else(|e| panic!("{} capture: {e}", w.name));
+    let slab = TraceSlab::build_seq(&trace).unwrap();
+    replay_keys()
+        .into_iter()
+        .map(|k| {
+            let outcome = replay_slab(&slab, &k.build())
+                .unwrap_or_else(|e| panic!("{} replay at {}: {e}", w.name, k.label()));
+            let kv = kv_string(&cache_stat_subset(&outcome.stats));
+            format!(
+                "{} side{} ways{} fnv1a {:#018x}\n",
+                k.preset.name(),
+                k.side_entries,
+                k.l1_ways,
+                fnv1a(kv.as_bytes())
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn replay_away_from_the_capture_point_matches_recorded_goldens() {
+    let bless = std::env::var_os("WEC_BLESS").is_some();
+    let results: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = REPLAY_BENCHES
+            .iter()
+            .map(|&b| s.spawn(move || replay_digests(b)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut failures = Vec::new();
+    for (bench, got) in REPLAY_BENCHES.into_iter().zip(results) {
+        assert_eq!(got.lines().count(), replay_keys().len());
+        let path = replay_path(bench);
+        if bless {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {} ({e}); record it with WEC_BLESS=1",
+                path.display()
+            )
+        });
+        if got != want {
+            failures.push(format!("{}:\n{}", bench.name(), kv_diff(&got, &want)));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "replay counters diverged from goldens:\n{}",
         failures.join("\n")
     );
 }
