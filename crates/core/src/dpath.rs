@@ -64,7 +64,7 @@ pub enum SideKind {
 }
 
 /// Configuration of one L1 data path.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DataPathConfig {
     pub capacity_bytes: u64,
     pub ways: usize,

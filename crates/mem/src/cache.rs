@@ -254,20 +254,6 @@ impl Cache {
         self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
-    /// Iterate over all resident block addresses with their flags.
-    pub fn resident_blocks(&self) -> impl Iterator<Item = (Addr, LineFlags)> + '_ {
-        self.tags
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != INVALID)
-            .map(move |(slot, &tag)| {
-                (
-                    self.block_addr(slot / self.geom.ways, tag),
-                    self.flags[slot],
-                )
-            })
-    }
-
     /// Structural invariant: no duplicate tags within a set. Used by tests
     /// and debug assertions.
     pub fn check_no_duplicate_tags(&self) -> bool {
@@ -431,15 +417,5 @@ mod tests {
         c.insert(a, LineFlags::DEMAND);
         assert!(c.set_dirty(a));
         assert!(c.peek(a).unwrap().dirty);
-    }
-
-    #[test]
-    fn resident_blocks_enumerates() {
-        let mut c = two_way();
-        c.insert(Addr(0x40), LineFlags::WRONG);
-        c.insert(Addr(0x80), LineFlags::DEMAND);
-        let mut blocks: Vec<Addr> = c.resident_blocks().map(|(a, _)| a).collect();
-        blocks.sort();
-        assert_eq!(blocks, vec![Addr(0x40), Addr(0x80)]);
     }
 }

@@ -19,12 +19,19 @@
 //!   batched replay loop streams through (the `squashed` field stays
 //!   unused).
 //!
-//! The slab is immutable after construction and `Sync`, so one slab is
-//! shared by every worker of a parallel sweep; each worker owns only its
-//! private cache hierarchy.
+//! The records never change after construction.  The one thing that
+//! does is the slab's instruction-side plan: the first replay records it
+//! (see [`crate::replay`]), and every later replay at the same L1I
+//! configuration drives only the records it lists.  The plan sits in a
+//! `OnceLock`, so the slab stays `Sync` and one slab is shared by every
+//! worker of a parallel sweep; each worker owns only its private cache
+//! hierarchy.
+
+use std::sync::OnceLock;
 
 use crate::format::{Trace, TraceHeader};
 use crate::record::{TraceKind, TraceRecord};
+use crate::replay::IfetchPlan;
 use crate::stream::decode_block_into;
 use crate::TraceError;
 
@@ -60,6 +67,8 @@ pub struct TraceSlab {
     /// Per-TU decoded records, in stream order.
     streams: Vec<Vec<TraceRecord>>,
     merged: MergedOrder,
+    /// The instruction side of the first replay, set when it finishes.
+    pub(crate) ifetch: OnceLock<IfetchPlan>,
 }
 
 impl TraceSlab {
@@ -82,6 +91,7 @@ impl TraceSlab {
             identity: trace.identity(),
             streams,
             merged,
+            ifetch: OnceLock::new(),
         })
     }
 

@@ -3,7 +3,10 @@
 //! one-at-a-time probes) and the same sequence block-partitioned into a
 //! [`TraceSlab`] and replayed batched ([`replay_slab`]) produce identical
 //! hit/miss/fill counters — for any record mix, any block size, and any
-//! decoder-pool width.
+//! decoder-pool width.  It holds for later replays of the slab too, which
+//! drive only its data records and L1I misses from the plan the first
+//! replay left: at the same configuration, at another L1D, and at another
+//! memory latency (where the plan's L2 ready cycles can stop matching).
 
 use proptest::prelude::*;
 
@@ -114,6 +117,13 @@ proptest! {
         let rb = build_records(&steps_b, 1);
         let trace = trace_of(&[ra.clone(), rb.clone()], block_cap);
         let cfg = ProcPreset::WthWpWec.machine(2);
+        // Later replays of each slab: another L1D and side structure, and
+        // another memory latency.
+        let mut vc = ProcPreset::WthWpVc.machine(2);
+        vc.l1d.ways = 2;
+        vc.l1d.side_entries = 4;
+        let mut memory = cfg.clone();
+        memory.l2.memory_latency = 40;
 
         // Reference: the streaming decoder driving probes one at a time.
         let whole = replay(&trace, &cfg).unwrap();
@@ -134,6 +144,17 @@ proptest! {
                 block_cap,
                 jobs
             );
+
+            for (name, later) in [("same", &cfg), ("vc", &vc), ("memory", &memory)] {
+                prop_assert_eq!(
+                    cache_stat_subset(&replay_slab(&slab, later).unwrap().stats),
+                    cache_stat_subset(&replay(&trace, later).unwrap().stats),
+                    "block_cap={} jobs={} later replay at {} drifted from streaming replay",
+                    block_cap,
+                    jobs,
+                    name
+                );
+            }
         }
     }
 }
