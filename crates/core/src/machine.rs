@@ -7,6 +7,31 @@
 //! the speculative memory buffer and the L1/WEC data path, and implementing
 //! `begin`/`fork`/`abort`/`tsannounce`/`tsagdone`/`thread_end`.
 //!
+//! ## The busy set and the jump
+//!
+//! A `u64` mask holds the units that can have work: a running core, a
+//! non-empty wrong-path queue, an attached thread, or committed stores
+//! waiting for a port (so at most 64 units).  The cycle loop, the occupant
+//! snapshot and the scheduler's per-unit passes visit only those units, in
+//! ascending TU order; a unit's bit is recomputed after its own tick and
+//! wherever the scheduler changes it (a kill, a thread start, a wrong
+//! thread dying at write-back, a retirement, a store drain).
+//!
+//! After each cycle the machine asks whether the next ones are quiet: every
+//! busy unit with a running core is [`Parked`] (see [`Core::parked`]), no
+//! stores or wrong-path loads are queued, no `WaitWb` thread is at the
+//! watermark or marked wrong, no deferred fork has a free target, and no
+//! kill, void or update is pending.  Then the clock jumps to the cycle
+//! before the earliest wake: the parked cores' wakes, the ring deliveries,
+//! the pending fork starts, the write-back ends, and with telemetry on the
+//! next interval sample and the earliest held-back L2 event.  The skipped
+//! span is added to each parked core's `active_cycles` and flagged stall
+//! counters ([`Parked::bump`]), and to `region_cycles` in parallel mode, so
+//! every statistic, event stream and artifact equals that of ticking each
+//! cycle.  Skipped cycles are never executed, so `--profile` never samples
+//! them.  In debug builds [`Machine::check_jumps`] ticks the spans instead
+//! and checks them.
+//!
 //! ## Scheduling rules (paper §2, §3.1.2)
 //!
 //! * The head thread is the oldest; write-back stages retire strictly in
@@ -26,13 +51,17 @@ use std::sync::Arc;
 use wec_common::error::{SimError, SimResult};
 use wec_common::ids::{Addr, Cycle, ThreadId};
 use wec_common::stats::{Counter, StatSet};
-use wec_cpu::core::Core;
+use wec_cpu::core::{Core, Parked};
+#[cfg(debug_assertions)]
+use wec_cpu::core::{CoreStats, QuietCore};
 use wec_cpu::env::{CoreEnv, MemIssue, StaOutcome};
 use wec_cpu::regs::ArchRegs;
 use wec_isa::inst::Inst;
 use wec_isa::program::{MemImage, Program};
 use wec_mem::l2::SharedL2;
 use wec_mem::stats::AccessKind;
+#[cfg(debug_assertions)]
+use wec_mem::stats::CacheStats;
 
 use wec_isa::disasm::disassemble_inst;
 use wec_telemetry::attr::AttributionReport;
@@ -113,7 +142,7 @@ struct WbJob {
 }
 
 /// Machine-level counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MachineStats {
     pub regions: Counter,
     pub forks: Counter,
@@ -281,6 +310,17 @@ impl Shared {
     }
 }
 
+/// The units of a busy-set mask, lowest TU first.
+fn units(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 /// One thread unit's non-core state.
 struct TuSlot {
     core: Core,
@@ -293,11 +333,33 @@ struct TuSlot {
     last_committed: u64,
 }
 
+impl TuSlot {
+    /// Can this unit have work?  Its core runs, its wrong-path queue is
+    /// non-empty, a thread is attached, or committed stores wait for a port.
+    fn is_busy(&self) -> bool {
+        self.core.is_running()
+            || !self.core.wp_engine.is_empty()
+            || self.thread.is_some()
+            || !self.sbuf.is_empty()
+    }
+}
+
 /// The whole superthreaded machine.
 pub struct Machine {
     program: Arc<Program>,
     tus: Vec<TuSlot>,
     shared: Shared,
+    /// The busy set: bit `i` is set while unit `i` can have work
+    /// ([`TuSlot::is_busy`]).  The cycle loop and `post_cycle`'s per-unit
+    /// passes visit only these units.
+    busy: u64,
+    /// Scratch of [`Machine::quiet_until`]: the parked cores of a quiet
+    /// span, with what their skipped ticks bump.
+    parked: Vec<(usize, Parked)>,
+    /// Test aid (see [`Machine::check_jumps`]): tick every span the
+    /// machine would jump, and check it.
+    #[cfg(debug_assertions)]
+    jump_check: Option<JumpCheck>,
     /// Cycle-loop self-profiler (`None` unless `telemetry.profile` is on);
     /// kept outside [`Shared`] so the instrumented path can time the whole
     /// cycle body, which borrows `Shared` mutably.
@@ -320,6 +382,12 @@ pub struct RunResult {
 
 impl Machine {
     pub fn new(cfg: MachineConfig, program: &Program) -> SimResult<Self> {
+        if cfg.n_tus > 64 {
+            return Err(SimError::Config(format!(
+                "{} thread units; the machine supports at most 64",
+                cfg.n_tus
+            )));
+        }
         let program = Arc::new(program.clone());
         let trace_events = cfg.telemetry.trace_events;
         let attribution = cfg.attribution;
@@ -398,6 +466,10 @@ impl Machine {
             program,
             tus,
             shared,
+            busy: 0,
+            parked: Vec::new(),
+            #[cfg(debug_assertions)]
+            jump_check: None,
             prof,
         })
     }
@@ -416,11 +488,13 @@ impl Machine {
     pub fn run(&mut self) -> SimResult<RunResult> {
         let entry = self.program.entry;
         self.tus[0].core.start(entry, Cycle::ZERO);
+        self.refresh(0);
         let mut occupants: Vec<Option<u64>> = vec![None; self.tus.len()];
         loop {
             let now = self.shared.now;
-            for (slot, occ) in self.tus.iter().zip(occupants.iter_mut()) {
-                *occ = slot.thread.as_ref().map(|t| t.id.0);
+            let busy = self.busy;
+            for i in units(busy) {
+                occupants[i] = self.tus[i].thread.as_ref().map(|t| t.id.0);
             }
             // One `is_some` branch per cycle when profiling is off; the
             // sampled path runs the same cycle body through the timing sink.
@@ -430,18 +504,24 @@ impl Machine {
             };
             if timed {
                 let mut laps = PhaseNs::default();
-                self.cycle(&occupants, now, &mut laps);
+                self.cycle(busy, &occupants, now, &mut laps);
                 if let Some(p) = self.prof.as_deref_mut() {
                     p.record(now.0, &laps);
                 }
             } else {
-                self.cycle(&occupants, now, &mut NoProf);
+                self.cycle(busy, &occupants, now, &mut NoProf);
             }
             if let Some(e) = self.shared.error.take() {
                 return Err(e);
             }
             if self.shared.halted {
                 break;
+            }
+            let wake = self.quiet_until(now);
+            #[cfg(debug_assertions)]
+            let wake = self.check_quiet(now, wake);
+            if let Some(wake) = wake {
+                self.skip_to(now, wake);
             }
             self.shared.now += 1;
             if self.shared.now.0 > self.shared.cfg.max_cycles {
@@ -456,14 +536,22 @@ impl Machine {
         Ok(result)
     }
 
-    /// One machine cycle: tick every busy thread unit, run the scheduler,
-    /// drain telemetry.  A unit whose core is stopped and whose wrong-path
-    /// queue is empty is skipped: its tick would change nothing.  Generic
-    /// over the [`PhaseSink`] so the profiled and unprofiled paths share
-    /// this one body (see [`Core::tick_with`]).
-    fn cycle<S: PhaseSink>(&mut self, occupants: &[Option<u64>], now: Cycle, sink: &mut S) {
+    /// One machine cycle: tick the units of the busy set `busy`, run the
+    /// scheduler, drain telemetry.  A busy unit whose core is stopped and
+    /// whose wrong-path queue is empty is skipped: its tick would change
+    /// nothing.  Each ticked unit's busy bit is recomputed after its tick
+    /// (a tick changes only its own unit; kills wait for `post_cycle`).
+    /// Generic over the [`PhaseSink`] so the profiled and unprofiled paths
+    /// share this one body (see [`Core::tick_with`]).
+    fn cycle<S: PhaseSink>(
+        &mut self,
+        busy: u64,
+        occupants: &[Option<u64>],
+        now: Cycle,
+        sink: &mut S,
+    ) {
         let n = self.tus.len();
-        for i in 0..n {
+        for i in units(busy) {
             let slot = &mut self.tus[i];
             if !slot.core.is_running() && slot.core.wp_engine.is_empty() {
                 continue;
@@ -486,9 +574,10 @@ impl Machine {
                 shared: &mut self.shared,
             };
             core.tick_with(sink, &mut env, now);
+            self.refresh(i);
         }
         let mut t = S::mark();
-        self.post_cycle(occupants);
+        self.post_cycle(busy, occupants);
         sink.lap(&mut t, Phase::Sched);
         if self.shared.tel.is_some() {
             self.telemetry_cycle();
@@ -608,14 +697,19 @@ impl Machine {
     }
 
     /// Apply all machine-level actions deferred out of the per-TU ticks.
-    /// `occupants` holds the thread id each TU carried at the *start* of the
-    /// cycle, so commits from a thread that died mid-cycle are still
-    /// attributed to it.
-    fn post_cycle(&mut self, occupants: &[Option<u64>]) {
+    /// `ticked` is the busy set at the *start* of the cycle and `occupants`
+    /// the thread id each of its units carried then, so commits from a
+    /// thread that died mid-cycle are still attributed to it.  The per-unit
+    /// passes walk the busy set (an attached thread or a queued store makes
+    /// a unit busy), and every change to a unit recomputes its bit.  A
+    /// section whose queue is empty does nothing.
+    fn post_cycle(&mut self, ticked: u64, occupants: &[Option<u64>]) {
         let now = self.shared.now;
 
-        // Instruction attribution (per-cycle commit deltas).
-        for (slot, occ) in self.tus.iter_mut().zip(occupants) {
+        // Instruction attribution (per-cycle commit deltas): only a ticked
+        // unit can have committed.
+        for i in units(ticked) {
+            let (slot, occ) = (&mut self.tus[i], &occupants[i]);
             let committed = slot.core.stats.committed.get();
             let delta = committed - slot.last_committed;
             slot.last_committed = committed;
@@ -635,26 +729,86 @@ impl Machine {
         }
 
         // Kills requested by begin/abort on other TUs.
-        for tu in std::mem::take(&mut self.shared.pending_kills) {
-            self.tus[tu].core.force_stop();
-            self.tus[tu].thread = None;
+        if !self.shared.pending_kills.is_empty() {
+            for tu in std::mem::take(&mut self.shared.pending_kills) {
+                self.tus[tu].core.force_stop();
+                self.tus[tu].thread = None;
+                self.refresh(tu);
+            }
         }
 
         // Void announcements from killed / marked-wrong threads so no
         // correct thread deadlocks waiting on them.
-        for dead in std::mem::take(&mut self.shared.pending_voids) {
-            for slot in &mut self.tus {
-                if let Some(t) = slot.thread.as_mut() {
-                    t.membuf.void_upstream(ThreadId(dead));
+        if !self.shared.pending_voids.is_empty() {
+            for dead in std::mem::take(&mut self.shared.pending_voids) {
+                for i in units(self.busy) {
+                    if let Some(t) = self.tus[i].thread.as_mut() {
+                        t.membuf.void_upstream(ThreadId(dead));
+                    }
                 }
+                self.shared.deliveries.retain(
+                    |d| !matches!(&d.ev, DeliveryEvent::Announce { from, .. } if *from == dead),
+                );
+                self.shared.ts_log.retain(|e| e.from != dead);
             }
-            self.shared.deliveries.retain(
-                |d| !matches!(&d.ev, DeliveryEvent::Announce { from, .. } if *from == dead),
-            );
-            self.shared.ts_log.retain(|e| e.from != dead);
         }
 
-        // Ring deliveries due this cycle.
+        if !self.shared.deliveries.is_empty() {
+            self.deliver(now);
+        }
+        if !self.shared.deferred_forks.is_empty() {
+            self.place_deferred_forks(now);
+        }
+        if !self.shared.pending_forks.is_empty() {
+            self.start_due_forks(now);
+        }
+        self.write_back(now);
+        if !self.shared.wb_jobs.is_empty() {
+            self.retire_written_back(now);
+        }
+
+        // Drain committed-store timing queues through the L1 ports.
+        for i in units(self.busy) {
+            let slot = &mut self.tus[i];
+            if slot.sbuf.is_empty() {
+                continue;
+            }
+            while let Some(&addr) = slot.sbuf.front() {
+                // Drained stores have left the pipeline: PC 0.
+                match slot
+                    .dpath
+                    .access(addr, AccessKind::CorrectStore, 0, now, &mut self.shared.l2)
+                {
+                    DpResult::Done { .. } => {
+                        slot.sbuf.pop_front();
+                    }
+                    DpResult::Retry => break,
+                }
+            }
+            self.refresh(i);
+        }
+
+        // Sequential-mode update-protocol broadcasts (§3.2.2): copies in
+        // other TUs' caches are refreshed in place; we count the traffic.
+        if self.shared.pending_updates.is_empty() {
+            return;
+        }
+        let writer = match self.shared.mode {
+            Mode::Sequential { tu } => tu,
+            Mode::Parallel { .. } => usize::MAX,
+        };
+        for addr in std::mem::take(&mut self.shared.pending_updates) {
+            self.shared.stats.bus_broadcasts.inc();
+            for (i, slot) in self.tus.iter().enumerate() {
+                if i != writer && (slot.dpath.l1_contains(addr) || slot.dpath.side_contains(addr)) {
+                    self.shared.stats.bus_copies_updated.inc();
+                }
+            }
+        }
+    }
+
+    /// Ring deliveries due this cycle.
+    fn deliver(&mut self, now: Cycle) {
         let mut due = Vec::new();
         self.shared.deliveries.retain(|d| {
             if d.at <= now {
@@ -688,8 +842,10 @@ impl Machine {
                     .release_upstream(addr, bytes, value, ThreadId(from)),
             }
         }
+    }
 
-        // Deferred forks whose target TU has become idle.
+    /// Deferred forks whose target TU has become idle get a start time.
+    fn place_deferred_forks(&mut self, now: Cycle) {
         let mut still_deferred = Vec::new();
         for f in std::mem::take(&mut self.shared.deferred_forks) {
             if self.shared.tu_busy[f.tu] {
@@ -710,8 +866,10 @@ impl Machine {
             }
         }
         self.shared.deferred_forks = still_deferred;
+    }
 
-        // Forks whose transfer delay has elapsed: start the thread.
+    /// Forks whose transfer delay has elapsed: start the thread.
+    fn start_due_forks(&mut self, now: Cycle) {
         let mut starting = Vec::new();
         self.shared.pending_forks.retain(|f| {
             if f.start_at <= now {
@@ -724,9 +882,13 @@ impl Machine {
         for f in starting {
             self.start_thread(f, now);
         }
+    }
 
-        // Write-back stage: the oldest thread that has finished its body.
-        for (i, slot) in self.tus.iter_mut().enumerate() {
+    /// Write-back stage: the oldest thread that has finished its body
+    /// starts writing back.  An attached thread makes its unit busy.
+    fn write_back(&mut self, now: Cycle) {
+        for i in units(self.busy) {
+            let slot = &mut self.tus[i];
             let Some(t) = slot.thread.as_mut() else {
                 continue;
             };
@@ -740,6 +902,7 @@ impl Machine {
                 self.shared.pending_voids.push(id);
                 slot.core.force_stop();
                 slot.thread = None;
+                self.refresh(i);
                 continue;
             }
             if t.state == ThreadState::WaitWb && t.id.0 == self.shared.watermark {
@@ -778,8 +941,10 @@ impl Machine {
                 });
             }
         }
+    }
 
-        // Completed write-backs: retire threads in order.
+    /// Completed write-backs: retire threads in order.
+    fn retire_written_back(&mut self, now: Cycle) {
         let mut retired = Vec::new();
         self.shared.wb_jobs.retain(|j| {
             if j.end_at <= now {
@@ -799,39 +964,86 @@ impl Machine {
             self.shared.alive.remove(id);
             self.shared.tu_busy[tu] = false;
             self.tus[tu].thread = None;
+            self.refresh(tu);
             self.shared.stats.threads_retired.inc();
         }
+    }
 
-        // Drain committed-store timing queues through the L1 ports.
-        for slot in self.tus.iter_mut() {
-            while let Some(&addr) = slot.sbuf.front() {
-                // Drained stores have left the pipeline: PC 0.
-                match slot
-                    .dpath
-                    .access(addr, AccessKind::CorrectStore, 0, now, &mut self.shared.l2)
+    /// Recompute unit `i`'s bit in the busy set.
+    fn refresh(&mut self, i: usize) {
+        let bit = 1u64 << i;
+        if self.tus[i].is_busy() {
+            self.busy |= bit;
+        } else {
+            self.busy &= !bit;
+        }
+    }
+
+    /// After cycle `now`: the wake W when no unit can act in any cycle
+    /// from `now + 1` up to (not including) W, so the machine may jump
+    /// there.  That needs every busy unit with a running core parked
+    /// ([`Core::parked`]), no stores or wrong-path loads queued, no
+    /// `WaitWb` thread at the watermark or marked wrong, no deferred fork
+    /// with a free target, and no kill, void or update pending.  W is the
+    /// earliest of the parked cores' wakes, the ring deliveries, the
+    /// pending fork starts and the write-back ends; with telemetry on,
+    /// also the next interval sample and the earliest L2 event still held
+    /// back (its drain order is the order the event stream is written
+    /// in).  Fills [`Machine::parked`].
+    fn quiet_until(&mut self, now: Cycle) -> Option<Cycle> {
+        self.parked.clear();
+        let sh = &self.shared;
+        if !sh.pending_kills.is_empty()
+            || !sh.pending_voids.is_empty()
+            || !sh.pending_updates.is_empty()
+        {
+            return None;
+        }
+        let mut wake = u64::MAX;
+        for i in units(self.busy) {
+            let slot = &self.tus[i];
+            if !slot.sbuf.is_empty() || !slot.core.wp_engine.is_empty() {
+                return None;
+            }
+            if let Some(t) = &slot.thread {
+                if t.state == ThreadState::WaitWb && (t.id.0 == sh.watermark || sh.is_wrong(t.id.0))
                 {
-                    DpResult::Done { .. } => {
-                        slot.sbuf.pop_front();
-                    }
-                    DpResult::Retry => break,
+                    return None;
                 }
             }
+            if slot.core.is_running() {
+                let p = slot.core.parked(now)?;
+                wake = wake.min(p.wake.0);
+                self.parked.push((i, p));
+            }
         }
+        if sh.deferred_forks.iter().any(|f| !sh.tu_busy[f.tu]) {
+            return None;
+        }
+        let events = sh.deliveries.iter().map(|d| d.at);
+        let events = events.chain(sh.pending_forks.iter().map(|f| f.start_at));
+        let events = events.chain(sh.wb_jobs.iter().map(|j| j.end_at));
+        wake = events.fold(wake, |w, c| w.min(c.0));
+        if let Some(tel) = sh.tel.as_deref() {
+            if tel.cfg.sample_interval > 0 {
+                wake = wake.min(tel.next_sample_at);
+            }
+            wake = wake.min(sh.l2.trace.earliest().unwrap_or(u64::MAX));
+        }
+        (wake != u64::MAX && wake > now.0 + 1).then_some(Cycle(wake))
+    }
 
-        // Sequential-mode update-protocol broadcasts (§3.2.2): copies in
-        // other TUs' caches are refreshed in place; we count the traffic.
-        let writer = match self.shared.mode {
-            Mode::Sequential { tu } => tu,
-            Mode::Parallel { .. } => usize::MAX,
-        };
-        for addr in std::mem::take(&mut self.shared.pending_updates) {
-            self.shared.stats.bus_broadcasts.inc();
-            for (i, slot) in self.tus.iter().enumerate() {
-                if i != writer && (slot.dpath.l1_contains(addr) || slot.dpath.side_contains(addr)) {
-                    self.shared.stats.bus_copies_updated.inc();
-                }
-            }
+    /// Jump over the quiet cycles `now + 1 .. wake`: add the counter bumps
+    /// their ticks would have made, and leave the clock on the last one.
+    fn skip_to(&mut self, now: Cycle, wake: Cycle) {
+        let span = wake.0 - now.0 - 1;
+        for (i, p) in &self.parked {
+            p.bump(&mut self.tus[*i].core.stats, span);
         }
+        if matches!(self.shared.mode, Mode::Parallel { .. }) {
+            self.shared.stats.region_cycles.add(span);
+        }
+        self.shared.now = Cycle(wake.0 - 1);
     }
 
     fn start_thread(&mut self, f: PendingFork, now: Cycle) {
@@ -859,10 +1071,82 @@ impl Machine {
         slot.last_committed = slot.core.stats.committed.get();
         slot.thread = Some(ctx);
         self.shared.alive.insert(f.id, f.tu);
+        self.refresh(f.tu);
         self.shared.stats.threads_started.inc();
         self.shared
             .events
             .record(now, SchedEvent::ThreadStart { id: f.id, tu: f.tu });
+    }
+
+    /// Turn on the jump check, a test aid beside [`Core::check_scheduler`]
+    /// that debug builds alone contain.  [`Machine::run`] then ticks every
+    /// span it would jump, one cycle at a time, and panics at the first
+    /// cycle that changes anything but the predicted counter bumps (or
+    /// bumps those by other amounts).  The outputs are those of the jump.
+    #[cfg(debug_assertions)]
+    pub fn check_jumps(&mut self) {
+        self.jump_check = Some(JumpCheck::default());
+    }
+
+    /// The jump check's step after cycle `now`: verify `now` when it lies
+    /// in a span being ticked, else open a span at `wake`.  Returns the
+    /// wake to jump to: `wake` itself while the check is off, never one
+    /// while it is on.
+    #[cfg(debug_assertions)]
+    fn check_quiet(&mut self, now: Cycle, wake: Option<Cycle>) -> Option<Cycle> {
+        let Some(mut check) = self.jump_check.take() else {
+            return wake;
+        };
+        if let Some(span) = check.span.take() {
+            span.verify(self, now.0);
+            if now.0 < span.last {
+                check.span = Some(span);
+            }
+        } else if let Some(wake) = wake {
+            check.span = Some(QuietSpan::open(self, now.0, wake.0));
+        }
+        self.jump_check = Some(check);
+        None
+    }
+
+    /// The state a quiet span must leave alone: the busy set, the
+    /// machine's queues, watermark and mode, each busy unit's core
+    /// ([`Core::quiet_fingerprint`]), store queue, thread and cache
+    /// counters, and every counter except `region_cycles` and the three
+    /// [`Parked`] names.
+    #[cfg(debug_assertions)]
+    fn quiet_fingerprint(&self) -> QuietMachine {
+        let sh = &self.shared;
+        let mut stats = sh.stats.clone();
+        stats.region_cycles = Counter::default();
+        QuietMachine {
+            busy: self.busy,
+            mode: sh.mode,
+            watermark: sh.watermark,
+            queues: [
+                sh.deliveries.len(),
+                sh.pending_forks.len(),
+                sh.deferred_forks.len(),
+                sh.wb_jobs.len(),
+                sh.pending_kills.len(),
+                sh.pending_voids.len(),
+                sh.pending_updates.len(),
+            ],
+            stats,
+            l2: sh.l2.stats.clone(),
+            units: units(self.busy)
+                .map(|i| {
+                    let slot = &self.tus[i];
+                    QuietUnit {
+                        core: slot.core.quiet_fingerprint(),
+                        sbuf: slot.sbuf.len(),
+                        thread: slot.thread.as_ref().map(|t| (t.id, t.state)),
+                        l1d: slot.dpath.stats.clone(),
+                        l1i: slot.icache.stats.clone(),
+                    }
+                })
+                .collect(),
+        }
     }
 
     /// Aggregate results after a run.
@@ -1001,6 +1285,108 @@ impl Machine {
             }
         }
         s
+    }
+}
+
+/// A machine's quiet fingerprint (see [`Machine::check_jumps`]).
+#[cfg(debug_assertions)]
+#[derive(Debug, PartialEq)]
+struct QuietMachine {
+    busy: u64,
+    mode: Mode,
+    watermark: u64,
+    /// Deliveries, pending and deferred forks, write-back jobs, kills,
+    /// voids and updates.
+    queues: [usize; 7],
+    stats: MachineStats,
+    l2: CacheStats,
+    units: Vec<QuietUnit>,
+}
+
+/// One busy unit of a [`QuietMachine`].
+#[cfg(debug_assertions)]
+#[derive(Debug, PartialEq)]
+struct QuietUnit {
+    core: QuietCore,
+    sbuf: usize,
+    thread: Option<(ThreadId, ThreadState)>,
+    l1d: CacheStats,
+    l1i: CacheStats,
+}
+
+/// State of the jump check ([`Machine::check_jumps`]).
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct JumpCheck {
+    /// The span being ticked, if any.
+    span: Option<QuietSpan>,
+}
+
+/// A span the machine would have jumped, ticked for checking: cycles
+/// `first ..= last`, and what stood before them.
+#[cfg(debug_assertions)]
+struct QuietSpan {
+    first: u64,
+    last: u64,
+    parked: Vec<(usize, Parked)>,
+    parallel: bool,
+    fingerprint: QuietMachine,
+    /// Each unit's core counters before the span.
+    stats: Vec<CoreStats>,
+    region_cycles: u64,
+}
+
+#[cfg(debug_assertions)]
+impl QuietSpan {
+    fn open(m: &Machine, now: u64, wake: u64) -> QuietSpan {
+        QuietSpan {
+            first: now + 1,
+            last: wake - 1,
+            parked: m.parked.clone(),
+            parallel: matches!(m.shared.mode, Mode::Parallel { .. }),
+            fingerprint: m.quiet_fingerprint(),
+            stats: m.tus.iter().map(|s| s.core.stats.clone()).collect(),
+            region_cycles: m.shared.stats.region_cycles.get(),
+        }
+    }
+
+    /// Cycle `now` of the span has just been ticked: nothing may have
+    /// changed but the counters [`Parked::bump`] predicts, by what it
+    /// predicts.
+    fn verify(&self, m: &Machine, now: u64) {
+        let ticked = now - self.first + 1;
+        let at = || {
+            format!(
+                "jump check: cycle {now} of the span {}..={} (parked {:?})",
+                self.first, self.last, self.parked
+            )
+        };
+        let fingerprint = m.quiet_fingerprint();
+        assert!(
+            fingerprint == self.fingerprint,
+            "{}: state changed\nbefore: {:?}\nnow:    {fingerprint:?}",
+            at(),
+            self.fingerprint
+        );
+        for (i, (before, slot)) in self.stats.iter().zip(&m.tus).enumerate() {
+            let mut want = before.clone();
+            if let Some((_, p)) = self.parked.iter().find(|(u, _)| *u == i) {
+                p.bump(&mut want, ticked);
+            }
+            assert!(
+                slot.core.stats == want,
+                "{}: tu{i} core counters\npredicted {want:?}\ngot       {:?}",
+                at(),
+                slot.core.stats
+            );
+        }
+        let region = m.shared.stats.region_cycles.get() - self.region_cycles;
+        let want = ticked * u64::from(self.parallel);
+        assert!(
+            region == want,
+            "{}: region_cycles rose by {region}, predicted {want}",
+            at()
+        );
     }
 }
 

@@ -285,6 +285,18 @@ fn runaway_program_hits_the_cycle_limit() {
 }
 
 #[test]
+fn more_than_64_thread_units_is_a_config_error() {
+    // The machine keeps its busy units in a 64-bit mask.
+    let mut b = ProgramBuilder::new("halt");
+    b.halt();
+    let prog = b.build().unwrap();
+    let mut cfg = ProcPreset::Orig.machine(64);
+    assert!(Machine::new(cfg.clone(), &prog).is_ok());
+    cfg.n_tus = 65;
+    assert!(matches!(Machine::new(cfg, &prog), Err(SimError::Config(_))));
+}
+
+#[test]
 fn back_to_back_regions_reuse_thread_units() {
     // Two parallel regions in sequence; the second must sweep leftovers.
     let mut b = ProgramBuilder::new("two-regions");

@@ -15,6 +15,14 @@
 //! wakes only the operands registered on it at rename.  A running unit
 //! whose window is full but idle therefore costs almost nothing per cycle.
 //!
+//! After its tick a core can report itself [`Parked`] ([`Core::parked`]):
+//! nothing is ready, the ROB head is not done, dispatch is blocked and
+//! fetch is stalled, so every tick until its earliest queued completion
+//! (or `fetch_ready_at`, when fetch waits on it) would only bump
+//! `active_cycles` and at most two stall counters.  The machine jumps over
+//! such cycles when every busy unit is parked and adds the skipped ticks
+//! with [`Parked::bump`].
+//!
 //! Wrong-path behaviour (the paper's §3.1.1) is concentrated in the
 //! recovery path of [`Core::tick`]: on a branch misprediction the squashed younger
 //! instructions are sifted, and — when `CoreConfig::wrong_path_loads` is set
@@ -55,7 +63,7 @@ pub fn pc_addr(pc: u32) -> Addr {
 }
 
 /// Per-core statistics.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CoreStats {
     /// Cycles this core was active (running a thread or sequential code).
     pub active_cycles: Counter,
@@ -107,6 +115,50 @@ impl CoreStats {
             self.mispredicted_branches.get() as f64 / b as f64
         }
     }
+}
+
+/// What a parked core's ticks do until it wakes: nothing but bump
+/// `active_cycles`, and the two stall counters flagged here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Parked {
+    /// The first cycle at which the core can act again: its earliest
+    /// queued completion, or `fetch_ready_at` when fetch waits on it.
+    pub wake: Cycle,
+    /// Each parked tick bumps `rob_full_stalls`: dispatch stops at the
+    /// full ROB.
+    pub rob_full: bool,
+    /// Each parked tick bumps `icache_stall_cycles`: fetch waits for
+    /// `fetch_ready_at`.
+    pub icache: bool,
+}
+
+impl Parked {
+    /// Add to `stats` exactly the bumps of `cycles` parked ticks.
+    pub fn bump(&self, stats: &mut CoreStats, cycles: u64) {
+        stats.active_cycles.add(cycles);
+        if self.rob_full {
+            stats.rob_full_stalls.add(cycles);
+        }
+        if self.icache {
+            stats.icache_stall_cycles.add(cycles);
+        }
+    }
+}
+
+/// A core's [`Core::quiet_fingerprint`] (a test aid).
+#[cfg(any(test, debug_assertions))]
+#[derive(Debug, PartialEq)]
+pub struct QuietCore {
+    running: bool,
+    stages: Vec<Stage>,
+    ready: Vec<u64>,
+    completions: Vec<(Cycle, u64, u64)>,
+    fetch_queue: Vec<u32>,
+    /// PC, ready cycle, enabled, `jr` stall, current block.
+    fetch: (u32, Cycle, bool, bool, Option<Addr>),
+    next_seq: u64,
+    wrong_path: usize,
+    stats: CoreStats,
 }
 
 /// An instruction waiting between fetch and dispatch.
@@ -333,6 +385,87 @@ impl Core {
             }
         }
         Ok(())
+    }
+
+    /// Everything the ticks of a parked core must leave alone: each ROB
+    /// entry's stage, the ready set, the queued completions, the fetch
+    /// queue and fetch state, the next sequence number, the wrong-path
+    /// queue, and every counter except the three a parked tick bumps.  A
+    /// test aid beside [`Core::check_scheduler`] (see [`Core::parked`]).
+    #[cfg(any(test, debug_assertions))]
+    pub fn quiet_fingerprint(&self) -> QuietCore {
+        let mut completions: Vec<_> = self.completions.iter().map(|r| r.0).collect();
+        completions.sort_unstable();
+        let mut stats = self.stats.clone();
+        stats.active_cycles = Counter::default();
+        stats.rob_full_stalls = Counter::default();
+        stats.icache_stall_cycles = Counter::default();
+        QuietCore {
+            running: self.running,
+            stages: self.rob.iter().map(|(_, e)| e.stage).collect(),
+            ready: self.rob.ready().to_vec(),
+            completions,
+            fetch_queue: self.fetch_queue.iter().map(|f| f.pc).collect(),
+            fetch: (
+                self.fetch_pc,
+                self.fetch_ready_at,
+                self.fetch_enabled,
+                self.jr_stall,
+                self.fetch_block,
+            ),
+            next_seq: self.next_seq,
+            wrong_path: self.wp_engine.len(),
+            stats,
+        }
+    }
+
+    /// After the tick of cycle `now`: `Some` when every tick from `now + 1`
+    /// up to (not including) the returned wake would change nothing but
+    /// the counters [`Parked`] names.  That holds when the core runs, its
+    /// wrong-path queue and ready set are empty, the ROB head is not
+    /// `Done`, dispatch is blocked (empty fetch queue, full ROB, serializer
+    /// in flight, or full LSQ) and fetch is stalled (disabled, a `jr`
+    /// stall, a full queue, or waiting for `fetch_ready_at`).  Only a
+    /// completion or `fetch_ready_at` can then end the wait.  A stale
+    /// completion of a squashed entry wakes the core early, which is safe.
+    /// Store-blocked loads sit in the ready set and heads stalled at commit
+    /// are `Done`, so neither parks.
+    pub fn parked(&self, now: Cycle) -> Option<Parked> {
+        if !self.running || !self.wp_engine.is_empty() || !self.rob.ready().is_empty() {
+            return None;
+        }
+        if self.rob.head().is_some_and(|h| h.stage == Stage::Done) {
+            return None;
+        }
+        // Dispatch's checks, in its order.
+        let rob_full = match self.fetch_queue.front() {
+            None => false,
+            Some(_) if self.rob.is_full() => true,
+            Some(_) if self.rob.has_serializer() => false,
+            Some(f) if f.inst.is_mem() && self.rob.mem_count() >= self.cfg.lsq_size => false,
+            Some(_) => return None,
+        };
+        // Fetch's checks, in its order.
+        let fetch_wake = if !self.fetch_enabled
+            || self.jr_stall
+            || self.fetch_queue.len() >= 2 * self.cfg.width as usize
+        {
+            None
+        } else if now.plus(1) < self.fetch_ready_at {
+            Some(self.fetch_ready_at)
+        } else {
+            return None;
+        };
+        let completion = self.completions.peek().map(|r| r.0 .0);
+        let wake = match (completion, fetch_wake) {
+            (Some(c), Some(f)) => c.min(f),
+            (c, f) => c.or(f)?,
+        };
+        (wake > now.plus(1)).then_some(Parked {
+            wake,
+            rob_full,
+            icache: fetch_wake.is_some(),
+        })
     }
 
     fn flush(&mut self) {

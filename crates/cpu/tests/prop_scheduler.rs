@@ -7,9 +7,12 @@
 //! address is only known late.  Each program runs on the mock environment
 //! at widths 1, 2 and 8, with wrong-path loads on and off; after every tick
 //! [`Core::check_scheduler`] must hold, and committed memory must equal a
-//! sequential interpretation of the program.
+//! sequential interpretation of the program.  Whenever a tick leaves the
+//! core [`Core::parked`], the ticks through its predicted span must change
+//! nothing ([`Core::quiet_fingerprint`]) but the counters
+//! [`Parked::bump`] predicts.
 //!
-//! The invariant check is a debug-build aid, so this file compiles to
+//! The invariant checks are debug-build aids, so this file compiles to
 //! nothing in release test builds.
 #![cfg(debug_assertions)]
 
@@ -19,7 +22,7 @@ use proptest::prelude::*;
 use wec_common::ids::{Addr, Cycle};
 use wec_common::SplitMix64;
 use wec_cpu::config::CoreConfig;
-use wec_cpu::core::Core;
+use wec_cpu::core::{Core, CoreStats, Parked, QuietCore};
 use wec_cpu::env::MockEnv;
 use wec_isa::inst::{AluOp, BranchCond, Inst, LoadKind};
 use wec_isa::program::MemImage;
@@ -244,23 +247,70 @@ fn interpret(program: &Program) -> MemImage {
     panic!("reference interpreter ran away");
 }
 
-/// Run `program` to `halt`, checking the scheduler after every tick.
-fn run_checked(program: &Program, cfg: CoreConfig, load_latency: u64) -> Result<MockEnv, String> {
+/// A parked span being ticked: its first and last cycle, the parking
+/// report, and the core's fingerprint and counters before the span.
+struct Span {
+    first: u64,
+    last: u64,
+    parked: Parked,
+    fingerprint: QuietCore,
+    stats: CoreStats,
+}
+
+/// Run `program` to `halt`, checking the scheduler after every tick and
+/// every parked span as it is ticked.  Also returns how many parked cycles
+/// were checked.
+fn run_checked(
+    program: &Program,
+    cfg: CoreConfig,
+    load_latency: u64,
+) -> Result<(MockEnv, u64), String> {
     let mut core = Core::new(cfg, Arc::new(program.clone()));
     let mut env = MockEnv::new(program.data.clone());
     env.load_latency = load_latency;
     core.start(program.entry, Cycle(0));
     let mut cycle = 0u64;
+    let mut span: Option<Span> = None;
+    let mut parked_cycles = 0;
     while core.is_running() && !env.halted {
         core.tick(&mut env, Cycle(cycle));
         core.check_scheduler()
             .map_err(|e| format!("cycle {cycle}: {e}"))?;
+        if let Some(s) = &span {
+            let mut want = s.stats.clone();
+            s.parked.bump(&mut want, cycle - s.first + 1);
+            let fingerprint = core.quiet_fingerprint();
+            if fingerprint != s.fingerprint {
+                return Err(format!(
+                    "cycle {cycle}, parked {:?}: state changed\nbefore {:?}\nnow    {fingerprint:?}",
+                    s.parked, s.fingerprint
+                ));
+            }
+            if core.stats != want {
+                return Err(format!(
+                    "cycle {cycle}, parked {:?}: counters\npredicted {want:?}\ngot       {:?}",
+                    s.parked, core.stats
+                ));
+            }
+            parked_cycles += 1;
+            if cycle == s.last {
+                span = None;
+            }
+        } else if let Some(parked) = core.parked(Cycle(cycle)) {
+            span = Some(Span {
+                first: cycle + 1,
+                last: parked.wake.0 - 1,
+                parked,
+                fingerprint: core.quiet_fingerprint(),
+                stats: core.stats.clone(),
+            });
+        }
         cycle += 1;
         if cycle > 1_000_000 {
             return Err("runaway program".into());
         }
     }
-    Ok(env)
+    Ok((env, parked_cycles))
 }
 
 proptest! {
@@ -277,7 +327,7 @@ proptest! {
             for wrong_path_loads in [false, true] {
                 let mut cfg = CoreConfig::with_width(width);
                 cfg.wrong_path_loads = wrong_path_loads;
-                let env = run_checked(&program, cfg, load_latency)
+                let (env, _) = run_checked(&program, cfg, load_latency)
                     .map_err(|e| format!("width {width}, wrong-path {wrong_path_loads}: {e}"))?;
                 for i in 0..DATA_REGS.len() as u64 {
                     prop_assert_eq!(
@@ -293,5 +343,22 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The parked-span check is not vacuous: with 40-cycle loads, the cores of
+/// every width park, and their spans are ticked and checked.
+#[test]
+fn parked_spans_are_checked() {
+    for width in [1u32, 2, 8] {
+        let checked: u64 = (0..8)
+            .map(|seed| {
+                let (program, _) = generate(seed);
+                run_checked(&program, CoreConfig::with_width(width), 40)
+                    .unwrap_or_else(|e| panic!("seed {seed}, width {width}: {e}"))
+                    .1
+            })
+            .sum();
+        assert!(checked > 0, "width {width}: no parked cycle checked");
     }
 }

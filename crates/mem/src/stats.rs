@@ -43,7 +43,7 @@ impl AccessKind {
 }
 
 /// Counters for one cache structure.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CacheStats {
     /// Correct-path demand accesses (loads + stores).
     pub demand_accesses: Counter,

@@ -249,6 +249,12 @@ impl CacheTrace {
         ready
     }
 
+    /// The earliest stamp still buffered (`None` when empty): the first
+    /// cycle whose [`drain_until`](Self::drain_until) returns anything.
+    pub fn earliest(&self) -> Option<u64> {
+        self.buf.iter().map(|&(c, _, _)| c).min()
+    }
+
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }

@@ -39,6 +39,19 @@
 //! point's counter listing hashes to one FNV-1a digest per line in
 //! `tests/goldens/replay/`.
 //!
+//! A sixth net pins the telemetry artifacts, whose events carry cycle
+//! stamps in drain order: mcf and parser under `wth-wp-wec` with trace
+//! events, a sample interval, a 64-entry commit trace and attribution on.
+//! The byte length and FNV-1a digest of `events.jsonl`, `commits.jsonl`,
+//! `timeseries.csv`, `histograms.json`, `trace.perfetto.json` and
+//! `attribution.json` must match `tests/goldens/telemetry/`.
+//!
+//! In debug builds one more test turns on the machine's jump check
+//! (`Machine::check_jumps`) for the 18 preset points, Table 3's 16-unit
+//! machine and a hand-built region: every span of cycles the machine would
+//! jump over is ticked instead and must change nothing but the counters
+//! the jump adds.  The nets above keep running the jump itself.
+//!
 //! To re-record after an *intentional* model change:
 //!
 //! ```text
@@ -55,6 +68,7 @@ use wec_common::stats::StatSet;
 use wec_core::config::{MachineConfig, ProcPreset};
 use wec_core::metrics::MachineMetrics;
 use wec_core::Machine;
+use wec_telemetry::TelemetryConfig;
 use wec_trace::codec::fnv1a;
 use wec_trace::{cache_stat_subset, capture_run, kv_string, replay_slab, CaptureMeta, TraceSlab};
 use wec_workloads::{run_and_verify, Bench, Scale};
@@ -265,6 +279,124 @@ fn stats_goldens_cover_every_point() {
         let path = stats_path(bench, &label);
         assert!(path.is_file(), "golden missing: {}", path.display());
     }
+}
+
+/// The jump check's points: the 18 preset points, and Table 3's 16-unit
+/// machine on the Figure 8 benchmarks.
+#[cfg(debug_assertions)]
+fn jump_check_points() -> Vec<(Bench, String, MachineConfig)> {
+    stats_points()
+        .into_iter()
+        .filter(|(_, label, _)| label == "table3-t16" || PRESETS.iter().any(|p| p.name() == label))
+        .collect()
+}
+
+/// A region whose ring deliveries come due while every unit waits on
+/// memory, which none of the SMOKE preset points produces (a wake that
+/// ignores deliveries passes them all): each thread announces its
+/// target store once a first miss returns, while a second miss (its
+/// address depends on the first) is in flight, and its successors wait on
+/// misses of their own.  Each thread then adds one to the target word.
+#[cfg(debug_assertions)]
+fn announce_behind_misses(n: i64) -> (wec_isa::Program, wec_common::ids::Addr) {
+    use wec_isa::reg::Reg;
+    let mut b = wec_isa::ProgramBuilder::new("announce");
+    let acc = b.alloc_zeroed_u64s(1);
+    // 8 KiB per thread: both misses go to memory.
+    let far = b.alloc_zeroed_u64s(1024 * n as u64);
+    let (i, my, n_r, accb, farb) = (Reg(1), Reg(3), Reg(22), Reg(21), Reg(20));
+    let (p, first, q, second, t) = (Reg(5), Reg(6), Reg(7), Reg(8), Reg(4));
+    b.la(accb, acc);
+    b.la(farb, far);
+    b.li(n_r, n);
+    b.li(i, 0);
+    b.begin(1);
+    b.label("body");
+    b.mv(my, i);
+    b.addi(i, i, 1);
+    b.fork(&[i], "body");
+    b.slli(p, my, 13);
+    b.add(p, p, farb);
+    b.ld(first, p, 0);
+    b.add(q, p, first);
+    b.tsannounce(accb, 0);
+    b.ld(second, q, 4096);
+    for _ in 0..8 {
+        b.add(second, second, second);
+    }
+    b.tsagdone();
+    b.ld(t, accb, 0);
+    b.addi(t, t, 1);
+    b.add(t, t, second);
+    b.sd(t, accb, 0);
+    b.blt(i, n_r, "done");
+    b.abort_to("seq");
+    b.label("done");
+    b.thread_end();
+    b.label("seq");
+    b.halt();
+    (b.build().unwrap(), acc)
+}
+
+/// With the jump check on, the machine ticks every span it would jump and
+/// panics at the first ticked cycle that changes more than the predicted
+/// counters.  The ticked runs must still pass their workload self-checks
+/// and match the full-statistics goldens the jump path is pinned to.  The
+/// check is a debug-build aid, so this test compiles only there.
+#[cfg(debug_assertions)]
+#[test]
+fn jumps_skip_only_quiet_cycles() {
+    let (program, acc) = announce_behind_misses(24);
+    let mut m = Machine::new(ProcPreset::WthWpWec.machine(N_TUS), &program).unwrap();
+    m.check_jumps();
+    m.run().unwrap();
+    assert_eq!(m.memory().read_u64(acc).unwrap(), 24);
+
+    let points = jump_check_points();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    let results: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = points
+            .chunks(points.len().div_ceil(workers))
+            .map(|part| {
+                s.spawn(move || {
+                    part.iter()
+                        .map(|(bench, label, cfg)| {
+                            let w = bench.build(Scale::SMOKE);
+                            let mut m = Machine::new(cfg.clone(), &w.program).unwrap();
+                            m.check_jumps();
+                            let r = m
+                                .run()
+                                .unwrap_or_else(|e| panic!("{} under {label}: {e}", w.name));
+                            let check = m.memory().read_u64(w.check_addr).unwrap();
+                            assert_eq!(check, w.expected_check, "{} under {label}", w.name);
+                            stats_kv(&r.stats)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    let mut failures = Vec::new();
+    for ((bench, label, _), got) in points.iter().zip(results) {
+        let want = std::fs::read_to_string(stats_path(*bench, label)).unwrap();
+        if got != want {
+            failures.push(format!(
+                "{} under {label}:\n{}",
+                bench.name(),
+                kv_diff(&got, &want)
+            ));
+        }
+    }
+    assert_eq!(points.len(), 20);
+    assert!(
+        failures.is_empty(),
+        "checked runs diverged from the statistics goldens:\n{}",
+        failures.join("\n")
+    );
 }
 
 /// The capture-pin points: every benchmark under the three side
@@ -534,6 +666,101 @@ fn replay_away_from_the_capture_point_matches_recorded_goldens() {
     assert!(
         failures.is_empty(),
         "replay counters diverged from goldens:\n{}",
+        failures.join("\n")
+    );
+}
+
+/// Benchmarks the telemetry pin runs: the two with the highest L1D miss
+/// rates, so the event stream holds the most fills, hits and L2 misses.
+const TELEMETRY_BENCHES: [Bench; 2] = [Bench::Mcf, Bench::Parser];
+
+/// The artifacts a telemetry run writes, in listing order; all but
+/// `profile.json`, which holds host timings.
+const TELEMETRY_FILES: [&str; 6] = [
+    "events.jsonl",
+    "commits.jsonl",
+    "timeseries.csv",
+    "histograms.json",
+    "trace.perfetto.json",
+    "attribution.json",
+];
+
+fn telemetry_path(bench: Bench) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("goldens/telemetry")
+        .join(format!("{}__wth-wp-wec.kv", bench.name()))
+}
+
+/// One telemetry run written to a scratch directory: per artifact, its
+/// byte length and FNV-1a digest.  `attribution.json` is rendered the way
+/// `experiments --attribution` writes it.
+fn telemetry_digests(bench: Bench) -> String {
+    let w = bench.build(Scale::SMOKE);
+    let dir = std::env::temp_dir().join(format!(
+        "wec-telemetry-pin-{}-{}",
+        bench.name(),
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = ProcPreset::WthWpWec.machine(N_TUS);
+    cfg.telemetry = TelemetryConfig {
+        trace_events: true,
+        sample_interval: 500,
+        profile: false,
+        out_dir: Some(dir.clone()),
+    };
+    cfg.core.commit_trace = COMMIT_TRACE;
+    cfg.attribution = true;
+    let r = run_and_verify(&w, cfg).unwrap_or_else(|e| panic!("{} traced: {e}", w.name));
+    let ledger = r.attribution.expect("attribution was on").to_json();
+    std::fs::write(dir.join("attribution.json"), format!("{ledger}\n")).unwrap();
+    let listing = TELEMETRY_FILES
+        .iter()
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(name))
+                .unwrap_or_else(|e| panic!("{}: no {name} ({e})", w.name));
+            format!(
+                "{name} bytes {} fnv1a {:#018x}\n",
+                bytes.len(),
+                fnv1a(&bytes)
+            )
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    listing
+}
+
+#[test]
+fn telemetry_artifacts_match_recorded_goldens() {
+    let bless = std::env::var_os("WEC_BLESS").is_some();
+    let results: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = TELEMETRY_BENCHES
+            .iter()
+            .map(|&b| s.spawn(move || telemetry_digests(b)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut failures = Vec::new();
+    for (bench, got) in TELEMETRY_BENCHES.into_iter().zip(results) {
+        let path = telemetry_path(bench);
+        if bless {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {} ({e}); record it with WEC_BLESS=1",
+                path.display()
+            )
+        });
+        if got != want {
+            failures.push(format!("{}:\n{}", bench.name(), kv_diff(&got, &want)));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "telemetry artifacts diverged from goldens:\n{}",
         failures.join("\n")
     );
 }
