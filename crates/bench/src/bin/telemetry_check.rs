@@ -20,7 +20,7 @@
 //! schema (which enforces that every cluster total equals the sum over
 //! the embedded backend ledgers),
 //! `access.jsonl` against `wec-access-log-v1`, `dashboard.json` (a saved
-//! `GET /dashboard/data` payload) against `wec-dashboard-data-v1`, and
+//! `GET /dashboard/data` payload) against `wec-dashboard-data-v2`, and
 //! every `*.wectrace` capture (from `experiments --capture-trace`) by fully
 //! decoding it and verifying its file, block, and content checksums.
 //! Attribution ledgers — `attribution.json` from a telemetry-mode
@@ -85,176 +85,80 @@ fn main() -> ExitCode {
     let mut failures = 0u32;
     let mut validated = 0u32;
 
-    let events = read(dir, "events.jsonl");
+    // One (file name, validator) per single-file artifact; each validator
+    // returns the detail its `ok` line prints.  The events report and the
+    // stats text are kept for the checks after the loop.
     let mut report = None;
-    if let Some(text) = &events {
-        match schema::validate_events_jsonl(text) {
-            Ok(r) => {
-                println!(
-                    "ok  events.jsonl: {} events, {} kinds",
-                    r.total,
-                    r.counts.len()
-                );
-                report = Some(r);
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL events.jsonl: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "commits.jsonl") {
-        match schema::validate_events_jsonl(&text) {
-            Ok(r) => {
-                println!("ok  commits.jsonl: {} commit records", r.total);
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL commits.jsonl: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "timeseries.csv") {
-        match schema::validate_timeseries_csv(&text) {
-            Ok(rows) => {
-                println!("ok  timeseries.csv: {rows} samples");
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL timeseries.csv: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "histograms.json") {
-        match schema::validate_histograms_json(&text) {
-            Ok(names) => {
-                println!("ok  histograms.json: {}", names.join(", "));
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL histograms.json: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "trace.perfetto.json") {
-        match schema::validate_perfetto(&text) {
-            Ok(n) => {
-                println!("ok  trace.perfetto.json: {n} trace events");
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL trace.perfetto.json: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "profile.json") {
-        match schema::validate_profile_json(&text) {
-            Ok(phases) => {
-                println!("ok  profile.json: {}", phases.join(", "));
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL profile.json: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "progress.jsonl") {
-        match schema::validate_progress_jsonl(&text) {
-            Ok(r) => {
-                println!(
-                    "ok  progress.jsonl: {} starts, {} finishes",
-                    r.starts, r.finishes
-                );
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL progress.jsonl: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "run.json") {
-        match schema::validate_run_json(&text) {
-            Ok(points) => {
-                println!("ok  run.json: {points} metric points");
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL run.json: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "jobs.jsonl") {
-        match schema::validate_jobs_jsonl(&text) {
-            Ok(r) => {
-                println!(
-                    "ok  jobs.jsonl: {} job records ({} done, {} failed, {} cancelled)",
-                    r.total, r.done, r.failed, r.cancelled
-                );
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL jobs.jsonl: {e}");
-                failures += 1;
-            }
-        }
-    }
     let mut stats_text = None;
-    if let Some(text) = read(dir, "stats.json") {
-        match schema::validate_serve_stats_json(&text) {
-            Ok(()) => {
-                println!("ok  stats.json: serve stats consistent");
+    type Check<'a> = &'a mut dyn FnMut(&str) -> Result<String, String>;
+    let checks: [(&str, Check); 13] = [
+        ("events.jsonl", &mut |t| {
+            let r = schema::validate_events_jsonl(t)?;
+            let detail = format!("{} events, {} kinds", r.total, r.counts.len());
+            report = Some(r);
+            Ok(detail)
+        }),
+        ("commits.jsonl", &mut |t| {
+            let r = schema::validate_events_jsonl(t)?;
+            Ok(format!("{} commit records", r.total))
+        }),
+        ("timeseries.csv", &mut |t| {
+            Ok(format!("{} samples", schema::validate_timeseries_csv(t)?))
+        }),
+        ("histograms.json", &mut |t| {
+            Ok(schema::validate_histograms_json(t)?.join(", "))
+        }),
+        ("trace.perfetto.json", &mut |t| {
+            Ok(format!("{} trace events", schema::validate_perfetto(t)?))
+        }),
+        ("profile.json", &mut |t| {
+            Ok(schema::validate_profile_json(t)?.join(", "))
+        }),
+        ("progress.jsonl", &mut |t| {
+            let r = schema::validate_progress_jsonl(t)?;
+            Ok(format!("{} starts, {} finishes", r.starts, r.finishes))
+        }),
+        ("run.json", &mut |t| {
+            Ok(format!("{} metric points", schema::validate_run_json(t)?))
+        }),
+        ("jobs.jsonl", &mut |t| {
+            let r = schema::validate_jobs_jsonl(t)?;
+            Ok(format!(
+                "{} job records ({} done, {} failed, {} cancelled)",
+                r.total, r.done, r.failed, r.cancelled
+            ))
+        }),
+        ("stats.json", &mut |t| {
+            schema::validate_serve_stats_json(t)?;
+            stats_text = Some(t.to_string());
+            Ok("serve stats consistent".to_string())
+        }),
+        ("router.json", &mut |t| {
+            let r = schema::validate_router_stats_json(t)?;
+            Ok(format!(
+                "{} backends ({} scraped), {} jobs completed cluster-wide, totals conserve",
+                r.backends, r.scraped, r.completed
+            ))
+        }),
+        ("access.jsonl", &mut |t| {
+            Ok(format!("{} requests", schema::validate_access_jsonl(t)?))
+        }),
+        ("dashboard.json", &mut |t| {
+            let rows = schema::validate_dashboard_data_json(t)?;
+            Ok(format!("{rows} recent jobs"))
+        }),
+    ];
+    for (name, check) in checks {
+        let Some(text) = read(dir, name) else {
+            continue;
+        };
+        match check(&text) {
+            Ok(detail) => {
+                println!("ok  {name}: {detail}");
                 validated += 1;
-                stats_text = Some(text);
             }
             Err(e) => {
-                eprintln!("FAIL stats.json: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "router.json") {
-        match schema::validate_router_stats_json(&text) {
-            Ok(r) => {
-                println!(
-                    "ok  router.json: {} backends ({} scraped), {} jobs completed cluster-wide, totals conserve",
-                    r.backends, r.scraped, r.completed
-                );
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL router.json: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "access.jsonl") {
-        match schema::validate_access_jsonl(&text) {
-            Ok(n) => {
-                println!("ok  access.jsonl: {n} requests");
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL access.jsonl: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(text) = read(dir, "dashboard.json") {
-        match schema::validate_dashboard_data_json(&text) {
-            Ok(n) => {
-                println!("ok  dashboard.json: {n} ring samples");
-                validated += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL dashboard.json: {e}");
+                eprintln!("FAIL {name}: {e}");
                 failures += 1;
             }
         }

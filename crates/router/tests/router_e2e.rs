@@ -38,8 +38,8 @@ use wec_telemetry::schema;
 
 type ServerHandle = (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>);
 
-/// A real backend on an ephemeral port.  Samplers are off and workers
-/// pinned low so a test cluster stays cheap.
+/// A real backend on an ephemeral port.  Workers are pinned low so a
+/// test cluster stays cheap.
 fn start_backend(cfg: ServeConfig) -> ServerHandle {
     let server = Server::bind("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr().unwrap();
@@ -53,7 +53,6 @@ fn backend_cfg(store: Option<PathBuf>) -> ServeConfig {
         queue_cap: 16,
         store,
         log_dir: None,
-        sample_interval: Duration::ZERO,
         ..ServeConfig::default()
     }
 }

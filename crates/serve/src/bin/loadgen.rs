@@ -19,6 +19,9 @@
 //! `wec-router-stats-v1` document, a `cluster` record summarizing the
 //! conserved cluster roll-up (backend count, routing counters, cache
 //! split, throughput) rides along in the output.
+//! Every request goes through the workspace's one HTTP client
+//! ([`wec_serve::http::Client`]): one per target, shared by all sender
+//! threads, so submissions and polls reuse kept-alive connections.
 //!
 //! Sends `--count` `POST /jobs` submissions at a scheduled `--rate`,
 //! cycling over `--spread` distinct configurations (side-structure
@@ -45,52 +48,35 @@
 //! in the report (`latency_hist`) — so client-observed and
 //! server-observed distributions compare bucket for bucket.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use wec_serve::http::Client;
 use wec_telemetry::hist::Log2Histogram;
 use wec_telemetry::json::{self, Json};
 
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::Result<(u16, String)> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(60)))?;
-    let mut stream = stream;
-    let mut req = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n");
-    if let Some(b) = body {
-        req.push_str(&format!(
-            "Content-Type: application/json\r\nContent-Length: {}\r\n",
-            b.len()
-        ));
-    }
-    req.push_str("\r\n");
-    stream.write_all(req.as_bytes())?;
-    if let Some(b) = body {
-        stream.write_all(b.as_bytes())?;
-    }
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no header terminator"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, payload.to_string()))
+/// How long one exchange may take before it counts as failed.
+const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// One exchange on `client`'s pooled connections: the status and the body.
+fn http(
+    client: &Client,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> io::Result<(u16, String)> {
+    let resp = client.request(method, path, body.map(str::as_bytes), TIMEOUT)?;
+    let text = String::from_utf8_lossy(&resp.body).into_owned();
+    Ok((resp.status, text))
 }
 
 /// Poll `GET /jobs/<id>` until terminal; returns the final state name and
 /// the result source (`cold`/`disk`/`mem`/`spec`, `none` while absent).
-fn poll_terminal(addr: &str, id: u64) -> io::Result<(String, String)> {
+fn poll_terminal(client: &Client, id: u64) -> io::Result<(String, String)> {
     loop {
-        let (status, body) = http(addr, "GET", &format!("/jobs/{id}"), None)?;
+        let (status, body) = http(client, "GET", &format!("/jobs/{id}"), None)?;
         if status != 200 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -151,9 +137,10 @@ impl TargetTally {
 
 /// If any target's `/stats` is a router document, compact its conserved
 /// cluster roll-up into a `cluster` record for the report.
-fn cluster_record(targets: &[String]) -> Option<String> {
-    for t in targets {
-        let Ok((200, body)) = http(t, "GET", "/stats", None) else {
+fn cluster_record(clients: &[Client]) -> Option<String> {
+    for c in clients {
+        let t = c.addr();
+        let Ok((200, body)) = http(c, "GET", "/stats", None) else {
             continue;
         };
         if wec_telemetry::schema::validate_router_stats_json(&body).is_err() {
@@ -283,16 +270,18 @@ fn main() {
         })
         .collect();
 
+    // One client per target, shared by every sender thread.
+    let clients: Vec<Client> = targets.iter().map(|t| Client::new(t)).collect();
     if prewarm {
         eprintln!("prewarming {spread} configuration(s) on {bench} at scale {scale}…");
         let t = Instant::now();
         for (j, body) in bodies.iter().enumerate() {
-            let addr = &targets[j % targets.len()];
-            let (status, resp) = http(addr, "POST", "/jobs", Some(body)).expect("prewarm POST");
+            let client = &clients[j % clients.len()];
+            let (status, resp) = http(client, "POST", "/jobs", Some(body)).expect("prewarm POST");
             assert_eq!(status, 200, "prewarm rejected: {resp}");
             let (id, state, _source) = record_id_state(&resp).expect("prewarm: bad record");
             if state != "done" {
-                let (state, _source) = poll_terminal(addr, id).expect("prewarm poll");
+                let (state, _source) = poll_terminal(client, id).expect("prewarm poll");
                 assert_eq!(state, "done", "prewarm job {id} failed");
             }
         }
@@ -309,7 +298,7 @@ fn main() {
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for tid in 0..concurrency {
-            let (targets, bench, bodies) = (&targets, &bench, &bodies);
+            let (clients, bench, bodies) = (&clients, &bench, &bodies);
             let (next, tallies) = (&next, &tallies);
             s.spawn(move || {
                 // The sweep-walk state: this connection pins one L1
@@ -328,8 +317,8 @@ fn main() {
                     }
                     // Round-robin over entry points; the job is polled on
                     // the target that accepted it (ids are per-entry-point).
-                    let which = i % targets.len();
-                    let addr = &targets[which];
+                    let which = i % clients.len();
+                    let client = &clients[which];
                     let tally = &tallies[which];
                     let due = Duration::from_secs_f64(i as f64 / rate);
                     if let Some(wait) = due.checked_sub(t0.elapsed()) {
@@ -355,7 +344,7 @@ fn main() {
                     } else {
                         bodies[i % bodies.len()].clone()
                     };
-                    let outcome = http(addr, "POST", "/jobs", Some(&body)).and_then(
+                    let outcome = http(client, "POST", "/jobs", Some(&body)).and_then(
                         |(status, resp)| match status {
                             200 => {
                                 let (id, state, source) =
@@ -365,7 +354,7 @@ fn main() {
                                 if state == "done" {
                                     Ok(("done".to_string(), source))
                                 } else {
-                                    poll_terminal(addr, id)
+                                    poll_terminal(client, id)
                                 }
                             }
                             503 => Ok(("rejected".to_string(), String::new())),
@@ -454,7 +443,7 @@ fn main() {
     );
 
     // A router entry point contributes the cluster's conserved roll-up.
-    let cluster = cluster_record(&targets);
+    let cluster = cluster_record(&clients);
     let mut doc = format!(
         "{{\n  \"schema\": \"wec-bench-serve-v1\",\n  \"bench\": \"{bench}\",\n  \
          \"scale\": {scale},\n  \"spread\": {spread},\n  \"pattern\": \"{pattern}\",\n  \

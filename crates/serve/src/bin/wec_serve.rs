@@ -3,8 +3,7 @@
 //! ```text
 //! wec_serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
 //!           [--store DIR | --no-store] [--log-dir DIR]
-//!           [--io-timeout-ms N] [--events-timeout-ms N]
-//!           [--sample-interval-ms N] [--ring-cap N] [--attribution]
+//!           [--io-timeout-ms N] [--events-timeout-ms N] [--attribution]
 //!           [--speculate] [--backend-id ID]
 //! ```
 //!
@@ -15,11 +14,11 @@
 //! overridable).  With `--log-dir` the daemon appends every terminal job
 //! to `jobs.jsonl`, every answered request to `access.jsonl`, and writes
 //! `stats.json` on drain — all validated by `telemetry_check`.  The
-//! dashboard sampler snapshots service rates every
-//! `--sample-interval-ms` (default 1000; 0 disables) into a ring of
-//! `--ring-cap` samples (default 512).  `--attribution` attaches the
-//! speculation attribution ledger to replay jobs: their records embed a
-//! conservation summary, `GET /jobs/<id>/attribution` serves the full
+//! daemon keeps no time series: `GET /dashboard` computes its rates in
+//! the browser, between successive polls of `GET /dashboard/data`.
+//! `--attribution` attaches the speculation attribution ledger to replay
+//! jobs: their records embed a conservation summary,
+//! `GET /jobs/<id>/attribution` serves the full
 //! `wec-attribution-v1` document, and `/metrics` aggregates the ledger
 //! (`wec_serve_attr_*_total`).  `--speculate` turns on the speculative
 //! prefetch subsystem: every demand submission enqueues up to four points
@@ -77,17 +76,6 @@ fn main() {
                         .parse()
                         .expect("--events-timeout-ms N"),
                 );
-            }
-            "--sample-interval-ms" => {
-                cfg.sample_interval = Duration::from_millis(
-                    value("--sample-interval-ms")
-                        .parse()
-                        .expect("--sample-interval-ms N"),
-                );
-            }
-            "--ring-cap" => {
-                cfg.ring_cap = value("--ring-cap").parse().expect("--ring-cap N");
-                assert!(cfg.ring_cap > 0, "--ring-cap must be positive");
             }
             "--attribution" => cfg.attribution = true,
             "--backend-id" => {

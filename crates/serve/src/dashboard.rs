@@ -1,14 +1,18 @@
 //! The live dashboard: `GET /dashboard` (one self-contained HTML page) and
-//! `GET /dashboard/data` (the `wec-dashboard-data-v1` JSON it refreshes
+//! `GET /dashboard/data` (the `wec-dashboard-data-v2` JSON it refreshes
 //! from).
 //!
 //! The page carries zero external dependencies — no CDN, no framework, no
 //! webfont — so it renders from a cold server on an air-gapped box.  All
 //! charts are inline SVG drawn by ~100 lines of hand-written script from
-//! the data document: sparklines over the ring-buffer samples (queue
-//! depth, jobs/s, dedup hit rate, kcycles/s), per-endpoint latency
+//! the data document: sparklines of queue depth, jobs/s, dedup hit rate,
+//! kcycles/s and (under `--speculate`) spec hit rate, per-endpoint latency
 //! histogram strips straight off the log2 buckets, and a drill-down table
 //! of recent jobs linking to the existing `/jobs/<id>/events` stream.
+//! The daemon keeps no history: the data document carries cumulative
+//! counters, and the page turns two successive polls into one point of
+//! each rate series (differences over the `now_ms` difference), keeping
+//! the last `HISTORY` points.  History starts when the page opens.
 //! Colors follow the repo's chart palette (light and dark via
 //! `prefers-color-scheme`); text always wears ink tokens, never series
 //! colors.
@@ -19,25 +23,22 @@ use wec_telemetry::json::escape_into;
 
 use crate::state::{render_stats_json, ServerState};
 
-/// The `wec-dashboard-data-v1` document: one consistent stats snapshot,
-/// the sampler's ring buffer, per-endpoint latency digests, and slim rows
-/// for the most recent jobs (full records carry ~1300 metrics each; the
-/// drill-down links fetch those on demand).
+/// The `wec-dashboard-data-v2` document: one consistent stats snapshot
+/// plus its cumulative `sim_cycles` (which `/stats` does not carry),
+/// per-endpoint latency digests, and slim rows for the most recent jobs
+/// (full records carry ~1300 metrics each; the drill-down links fetch
+/// those on demand).
 pub fn dashboard_data_json(state: &ServerState) -> String {
     let snap = state.snapshot();
     let mut out = String::with_capacity(8 * 1024);
-    out.push_str("{\"schema\":\"wec-dashboard-data-v1\"");
-    let _ = write!(out, ",\"now_ms\":{}", snap.uptime_ms);
+    let _ = write!(
+        out,
+        "{{\"schema\":\"wec-dashboard-data-v2\",\"now_ms\":{},\"sim_cycles\":{}",
+        snap.uptime_ms, snap.sim_cycles
+    );
     out.push_str(",\"stats\":");
     out.push_str(&render_stats_json(&snap, state.backend_id()));
-    out.push_str(",\"samples\":[");
-    for (i, s) in state.samples.snapshot().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s.to_json());
-    }
-    out.push_str("],\"http\":[");
+    out.push_str(",\"http\":[");
     for (i, l) in state.metrics.endpoint_latencies().iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -211,7 +212,11 @@ section { margin-bottom: 14px; }
 <script>
 "use strict";
 const REFRESH_MS = 1000;
+// Points kept per sparkline: two minutes at one poll a second.
+const HISTORY = 120;
 const SVG = "http://www.w3.org/2000/svg";
+const series = { queue: [], jps: [], dedup: [], kcps: [], spec: [] };
+let prev = null;
 
 function fmt(v, digits) {
   if (v >= 1000000) return (v / 1000000).toFixed(1) + "M";
@@ -287,7 +292,33 @@ function bucketStrip(buckets) {
   return svg;
 }
 
+function push(key, v) {
+  const a = series[key];
+  a.push(v);
+  if (a.length > HISTORY) a.shift();
+}
+
+// One point per series from this poll and the previous one: rates are
+// counter differences over the now_ms difference, shares are over the
+// interval's submissions (0 when there were none).
+function sample(d) {
+  const s = d.stats;
+  push("queue", s.queue.depth);
+  if (prev && d.now_ms > prev.now_ms) {
+    const p = prev.stats, dt_ms = d.now_ms - prev.now_ms;
+    const submitted = s.jobs.submitted - p.jobs.submitted;
+    const share = n => submitted > 0 ? Math.min(Math.max(n, 0) / submitted, 1) : 0;
+    push("jps", Math.max(s.jobs.completed - p.jobs.completed, 0) * 1000 / dt_ms);
+    push("dedup", share(s.jobs.deduped - p.jobs.deduped + s.cache.mem_hits - p.cache.mem_hits));
+    // Cycles per millisecond are kilocycles per second.
+    push("kcps", Math.max(d.sim_cycles - prev.sim_cycles, 0) / dt_ms);
+    if (s.spec && p.spec) push("spec", share(s.spec.hit - p.spec.hit));
+  }
+  prev = d;
+}
+
 function render(d) {
+  sample(d);
   const s = d.stats;
   document.getElementById("uptime").textContent =
     "up " + (s.uptime_ms / 1000).toFixed(0) + "s · " +
@@ -309,22 +340,14 @@ function render(d) {
       " · pending " + s.spec.pending));
   }
 
-  const by = k => d.samples.map(x => x[k]);
   const last = (a, f) => a.length ? f(a[a.length - 1]) : "";
-  sparkline(document.getElementById("spark-queue"), by("queue_depth"));
-  sparkline(document.getElementById("spark-jps"), by("jobs_per_sec"));
-  sparkline(document.getElementById("spark-dedup"), by("dedup_hit_rate"));
-  sparkline(document.getElementById("spark-kcps"), by("kcycles_per_sec"));
-  document.getElementById("now-queue").textContent = last(by("queue_depth"), v => fmt(v));
-  document.getElementById("now-jps").textContent = last(by("jobs_per_sec"), v => v.toFixed(1));
-  document.getElementById("now-dedup").textContent = last(by("dedup_hit_rate"), v => (v * 100).toFixed(0) + "%");
-  document.getElementById("now-kcps").textContent = last(by("kcycles_per_sec"), v => fmt(v));
-  if (s.spec) {
-    document.getElementById("spec-spark-panel").style.display = "block";
-    const shr = by("spec_hit_rate").map(v => v === undefined ? 0 : v);
-    sparkline(document.getElementById("spark-spec"), shr);
-    document.getElementById("now-spec").textContent = last(shr, v => (v * 100).toFixed(0) + "%");
+  const pct = v => (v * 100).toFixed(0) + "%";
+  for (const [key, f] of [["queue", v => fmt(v)], ["jps", v => v.toFixed(1)],
+                          ["dedup", pct], ["kcps", v => fmt(v)], ["spec", pct]]) {
+    sparkline(document.getElementById("spark-" + key), series[key]);
+    document.getElementById("now-" + key).textContent = last(series[key], f);
   }
+  if (s.spec) document.getElementById("spec-spark-panel").style.display = "block";
 
   const htbody = document.querySelector("#http-table tbody");
   htbody.replaceChildren(...d.http.map(r => {
@@ -460,6 +483,7 @@ tick();
 mod tests {
     use super::*;
     use crate::state::{ServeConfig, ServerState};
+    use wec_telemetry::schema;
 
     #[test]
     fn page_is_self_contained() {
@@ -492,16 +516,17 @@ mod tests {
         .unwrap();
         s.metrics
             .observe_request(crate::metrics::endpoint_index("/stats"), 200, 42);
+        s.submit(crate::JobSpec::parse("{\"bench\": \"164.gzip\"}").unwrap())
+            .unwrap();
         let doc = dashboard_data_json(&s);
+        assert_eq!(schema::validate_dashboard_data_json(&doc), Ok(1), "{doc}");
         let v = wec_telemetry::json::parse(&doc).unwrap();
-        assert_eq!(
-            v.get("schema").unwrap().as_str(),
-            Some("wec-dashboard-data-v1")
-        );
+        assert_eq!(v.get("sim_cycles").unwrap().as_u64(), Some(0));
         let stats = v.get("stats").unwrap();
         assert_eq!(
             stats.get("schema").unwrap().as_str(),
             Some("wec-serve-stats-v1")
         );
+        assert_eq!(v.get("http").unwrap().as_array().unwrap().len(), 1);
     }
 }

@@ -32,10 +32,10 @@
 //!   SIGTERM / `POST /shutdown`;
 //! * [`metrics`] — per-endpoint HTTP request/latency counters and the
 //!   `GET /metrics` Prometheus-style exposition;
-//! * [`ringbuf`] — the fixed-capacity sample ring behind the dashboard
-//!   sparklines, fed by the in-server sampler thread;
 //! * [`dashboard`] — `GET /dashboard` (a self-contained HTML page, inline
 //!   SVG, zero external dependencies) and its `GET /dashboard/data` feed;
+//!   the page computes its rate sparklines itself, between successive
+//!   polls of cumulative counters, so the daemon keeps no history;
 //! * [`predict`] — the candidate rule behind `--speculate`: a demand's
 //!   sweep-axis neighbourhood, a pure function of its spec;
 //! * [`spec`] — speculative-execution plumbing: the prefetch budget/TTL
@@ -52,7 +52,6 @@ pub mod job;
 pub mod metrics;
 pub mod predict;
 pub mod queue;
-pub mod ringbuf;
 pub mod server;
 pub mod spec;
 pub mod state;
@@ -61,7 +60,6 @@ pub mod worker;
 pub use job::{JobKind, JobRecord, JobSpec, JobState};
 pub use metrics::ServeMetrics;
 pub use queue::JobQueue;
-pub use ringbuf::{RingBuffer, ServiceSample};
 pub use server::Server;
 pub use spec::{SpecConfig, SpecStats};
 pub use state::{ServeConfig, ServerState, StatsSnapshot, SubmitError};

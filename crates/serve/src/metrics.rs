@@ -152,7 +152,7 @@ impl ServeMetrics {
     }
 
     /// Mean execution milliseconds across every observed job, all sources
-    /// (the `Retry-After` fallback when the sampler has no rate yet).
+    /// (the `Retry-After` estimate).
     pub fn mean_job_duration_ms(&self) -> f64 {
         let g = lock(&self.inner);
         let (mut sum, mut count) = (0u64, 0u64);

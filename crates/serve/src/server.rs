@@ -7,8 +7,8 @@
 //! `POST /shutdown` or SIGTERM/SIGINT — flips one flag: submissions start
 //! answering `503`, the loop's watcher waits for the outstanding-job count
 //! to reach zero and wakes the loop, which answers every connection still
-//! queued and returns; then the queue closes, the workers and the sampler
-//! are joined, `stats.json` is written, and [`Server::run`] returns.
+//! queued and returns; then the queue closes, the workers are joined,
+//! `stats.json` is written, and [`Server::run`] returns.
 //!
 //! Every answered request is observed twice on the way out: counted into
 //! the per-endpoint request/latency metrics behind `GET /metrics`, and
@@ -29,7 +29,7 @@
 //! | GET, HEAD | `/healthz`             | liveness probe (`{"ok":…,"draining":…}`) |
 //! | GET       | `/metrics`             | Prometheus-style text exposition         |
 //! | GET       | `/dashboard`           | self-contained live dashboard page       |
-//! | GET       | `/dashboard/data`      | `wec-dashboard-data-v1` document         |
+//! | GET       | `/dashboard/data`      | `wec-dashboard-data-v2` document         |
 //! | POST      | `/shutdown`            | begin graceful drain                     |
 
 use std::io::{self, Write};
@@ -45,24 +45,22 @@ use crate::http::{error_json, Reply, Request};
 use crate::job::JobState;
 use crate::lock;
 use crate::metrics::endpoint_index;
-use crate::ringbuf::{sample_from, SampleCursor};
 use crate::state::{JobSlot, ServeConfig, ServerState, SubmitError};
 use crate::worker;
 
-/// The daemon: a bound listener plus its worker pool and sampler.
+/// The daemon: a bound listener plus its worker pool.
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
     workers: Vec<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and spawn
-    /// the worker pool and the ring-buffer sampler.  The listener is live
-    /// once this returns.  A `backend_id` of `"auto"` resolves to the
-    /// bound address (ephemeral port included), so `--backend-id auto`
-    /// yields a stable, unique identity per listening daemon.
+    /// the worker pool.  The listener is live once this returns.  A
+    /// `backend_id` of `"auto"` resolves to the bound address (ephemeral
+    /// port included), so `--backend-id auto` yields a stable, unique
+    /// identity per listening daemon.
     pub fn bind(addr: &str, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let mut cfg = cfg;
@@ -71,12 +69,10 @@ impl Server {
         }
         let state = ServerState::new(cfg)?;
         let workers = worker::spawn(&state);
-        let sampler = spawn_sampler(&state);
         Ok(Server {
             listener,
             state,
             workers,
-            sampler,
         })
     }
 
@@ -89,8 +85,8 @@ impl Server {
     }
 
     /// Serve until drained: accept until shutdown is requested and every
-    /// accepted job is terminal, then close the queue, join the workers
-    /// and the sampler, and write the exit logs.
+    /// accepted job is terminal, then close the queue, join the workers,
+    /// and write the exit logs.
     pub fn run(self) -> io::Result<()> {
         let state = &self.state;
         daemon::run(
@@ -111,48 +107,9 @@ impl Server {
         for h in self.workers {
             let _ = h.join();
         }
-        self.state.sampler_stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.sampler {
-            let _ = h.join();
-        }
         self.state.write_exit_logs();
         Ok(())
     }
-}
-
-/// The ring-buffer sampler: every `sample_interval`, turn one consistent
-/// stats snapshot into a [`crate::ringbuf::ServiceSample`] and push it.
-/// Disabled by a zero interval (zero cost when off — no thread exists).
-fn spawn_sampler(state: &Arc<ServerState>) -> Option<JoinHandle<()>> {
-    let interval = state.cfg.sample_interval;
-    if interval.is_zero() {
-        return None;
-    }
-    let st = state.clone();
-    std::thread::Builder::new()
-        .name("wec-serve-sampler".to_string())
-        .spawn(move || {
-            let mut cursor = SampleCursor::default();
-            // Prime so the first real sample rates over a full interval.
-            sample_from(&st.snapshot(), &mut cursor);
-            loop {
-                // Sleep in short slices so drain never waits a full
-                // interval for this thread.
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if st.sampler_stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let nap = (interval - slept).min(Duration::from_millis(50));
-                    std::thread::sleep(nap);
-                    slept += nap;
-                }
-                if let Some(s) = sample_from(&st.snapshot(), &mut cursor) {
-                    st.samples.push(s);
-                }
-            }
-        })
-        .ok()
 }
 
 impl Service for ServerState {
@@ -253,7 +210,12 @@ fn submit<W: Write>(state: &ServerState, req: &Request, w: &mut Reply<'_, W>) ->
             // A draining 503 carries `X-Wec-Draining: true` so a fronting
             // router can re-shard immediately instead of burning its
             // retry budget against a node that will never accept.
-            let mut headers = vec![("Retry-After", retry_after_secs(state).to_string())];
+            let secs = retry_after_secs(
+                state.queue.depth(),
+                state.metrics.mean_job_duration_ms(),
+                state.cfg.workers,
+            );
+            let mut headers = vec![("Retry-After", secs.to_string())];
             if e == SubmitError::Draining {
                 headers.push(("X-Wec-Draining", "true".to_string()));
             }
@@ -269,25 +231,12 @@ fn submit<W: Write>(state: &ServerState, req: &Request, w: &mut Reply<'_, W>) ->
 }
 
 /// How long a refused submitter should wait before retrying: the time the
-/// backlog will take to clear at the recently observed completion rate
-/// (ring sampler), falling back to the lifetime mean service time spread
-/// over the pool, clamped to 1..=30 seconds.  A lightly loaded server
-/// still answers 1; a deep queue of slow jobs answers up to 30.
-fn retry_after_secs(state: &ServerState) -> u64 {
-    let depth = state.queue.depth() as f64;
-    let secs = match state
-        .samples
-        .last()
-        .map(|s| s.jobs_per_sec)
-        .filter(|&r| r > 0.0)
-    {
-        Some(rate) => depth / rate,
-        None => {
-            let mean_ms = state.metrics.mean_job_duration_ms();
-            let workers = state.cfg.workers.max(1) as f64;
-            depth * mean_ms / 1000.0 / workers
-        }
-    };
+/// backlog takes to clear at the lifetime mean service time spread over
+/// the pool, `ceil(depth × mean job ms / workers / 1000)`, clamped to
+/// 1..=30 seconds.  A lightly loaded server still answers 1; a deep queue
+/// of slow jobs answers up to 30.
+fn retry_after_secs(depth: usize, mean_job_ms: f64, workers: usize) -> u64 {
+    let secs = depth as f64 * mean_job_ms / workers.max(1) as f64 / 1000.0;
     (secs.ceil() as u64).clamp(1, 30)
 }
 
@@ -375,4 +324,25 @@ fn stream_events<W: Write>(
     }
     cw.finish()?;
     Ok(200)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::retry_after_secs;
+
+    #[test]
+    fn retry_after_is_the_backlog_over_the_pool_clamped_to_thirty_seconds() {
+        // ceil(depth × mean ms / workers / 1000).
+        assert_eq!(retry_after_secs(10, 3000.0, 2), 15);
+        assert_eq!(retry_after_secs(5, 700.0, 2), 2);
+        assert_eq!(retry_after_secs(3, 1000.0, 1), 3);
+        // An idle or fast server still asks for one second.
+        assert_eq!(retry_after_secs(0, 5000.0, 4), 1);
+        assert_eq!(retry_after_secs(3, 500.0, 2), 1);
+        assert_eq!(retry_after_secs(8, 0.0, 2), 1);
+        // A deep queue of slow jobs asks for at most thirty.
+        assert_eq!(retry_after_secs(100, 2000.0, 1), 30);
+        // A zero-worker count is read as one worker.
+        assert_eq!(retry_after_secs(4, 1000.0, 0), 4);
+    }
 }

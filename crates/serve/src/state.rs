@@ -54,7 +54,6 @@ use crate::lock;
 use crate::metrics::ServeMetrics;
 use crate::predict::neighbourhood;
 use crate::queue::{JobQueue, Promote, PushError};
-use crate::ringbuf::{RingBuffer, ServiceSample};
 use crate::spec::{SpecConfig, SpecReady, SpecStats};
 
 /// Daemon configuration (flags of the `wec_serve` binary).
@@ -74,10 +73,6 @@ pub struct ServeConfig {
     pub io_timeout: Duration,
     /// Upper bound on one `/jobs/<id>/events` stream's lifetime.
     pub events_timeout: Duration,
-    /// Ring-buffer sampling interval (zero disables the sampler thread).
-    pub sample_interval: Duration,
-    /// Ring-buffer capacity (retained history = `ring_cap` samples).
-    pub ring_cap: usize,
     /// Attach the speculation attribution ledger to replay jobs.  Such
     /// jobs always replay cold (ledgers are not memoized on disk), embed
     /// their conservation summary in the job record, and serve the full
@@ -103,8 +98,6 @@ impl Default for ServeConfig {
             log_dir: None,
             io_timeout: Duration::from_secs(10),
             events_timeout: Duration::from_secs(600),
-            sample_interval: Duration::from_secs(1),
-            ring_cap: 512,
             attribution: false,
             spec: None,
             backend_id: None,
@@ -212,7 +205,7 @@ struct Counts {
     cold: u64,
     disk_hits: u64,
     mem_hits: u64,
-    /// Simulated cycles across completed jobs (feeds kcycles/s sampling).
+    /// Simulated cycles across completed jobs (the dashboard's kcycles/s).
     sim_cycles: u64,
     /// Speculation-ledger aggregates across attribution-enabled jobs
     /// (warm answers re-count, exactly like `sim_cycles`).
@@ -245,8 +238,8 @@ impl Counts {
     }
 }
 
-/// A point-in-time copy of everything `GET /stats`, `GET /metrics` and the
-/// sampler report.  All job counters are read under the single `counts`
+/// A point-in-time copy of everything `GET /stats`, `GET /metrics` and
+/// `GET /dashboard/data` report.  All job counters are read under the single `counts`
 /// mutex, so the source split always sums to `completed` — the exposition
 /// and the stats document reconcile exactly because they render the *same*
 /// snapshot type.
@@ -308,10 +301,6 @@ pub struct ServerState {
     access_log: Mutex<Option<std::fs::File>>,
     /// HTTP request/latency counters and job-duration histograms.
     pub metrics: ServeMetrics,
-    /// The sampler's time-series (the dashboard's sparklines).
-    pub samples: RingBuffer<ServiceSample>,
-    /// Tells the sampler thread to exit during drain.
-    pub sampler_stop: AtomicBool,
     /// Speculative results produced ahead of demand and not yet claimed.
     spec_ready: SpecReady,
     /// `cfg.backend_id` as a shared slice, stamped into every record.
@@ -338,7 +327,6 @@ impl ServerState {
             Some(sc) => JobQueue::with_spec(cfg.queue_cap, sc.queue_cap, sc.inflight_max),
         };
         let backend_id = cfg.backend_id.as_deref().map(Arc::from);
-        let ring_cap = cfg.ring_cap;
         Ok(Arc::new(ServerState {
             cfg,
             queue,
@@ -357,8 +345,6 @@ impl ServerState {
             jobs_log: Mutex::new(jobs_log),
             access_log: Mutex::new(access_log),
             metrics: ServeMetrics::new(),
-            samples: RingBuffer::new(ring_cap),
-            sampler_stop: AtomicBool::new(false),
             spec_ready: SpecReady::new(),
             backend_id,
         }))

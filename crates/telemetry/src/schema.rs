@@ -1,110 +1,227 @@
-//! Validators for the telemetry artifacts (used by tests and the CI smoke
-//! job): the events JSONL schema, the time-series CSV, the histograms JSON,
-//! and the Perfetto trace.
+//! Validators for the telemetry artifacts (used by tests, `telemetry_check`
+//! and the CI smoke jobs).
 //!
-//! The event schema is strict: every line must carry `cycle` and a known
-//! `type`, exactly the fields that type declares, each with the right JSON
-//! type.  That way a drifting emitter fails CI instead of producing files
-//! tools half-understand.
+//! Every JSON document has one field table here ([`Table`]), and one
+//! walker, [`check`], enforces all of them: each required field present
+//! with its kind, each optional field of its kind when present, and no
+//! undeclared field at any depth.  That way a drifting emitter fails CI
+//! instead of producing files tools half-understand.  What a table cannot
+//! say — conservation, bucket sums, orderings — each document states once,
+//! as one named check run after the walk.  The time-series CSV is the one
+//! artifact that is not JSON.
 
 use crate::json::{self, Json};
 
-/// JSON type of a schema field.
+/// The kind of one schema field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FieldKind {
     U64,
+    F64,
     Bool,
     Str,
+    /// A non-empty string.
+    Name,
+    /// `true`: a flag whose absence means false.
+    True,
+    /// One of the listed strings.
+    OneOf(&'static [&'static str]),
+    /// Absent, or present with the inner kind.
+    Opt(&'static FieldKind),
+    /// An object with exactly the table's fields.
+    Obj(Table),
+    /// An array whose items have the inner kind.
+    Arr(&'static FieldKind),
+    /// An object with free keys whose values have the inner kind.
+    Map(&'static FieldKind),
 }
 
+/// The fields of one JSON object.
+pub type Table = &'static [(&'static str, FieldKind)];
+
+use FieldKind::*;
+
+/// Return `Err(format!(...))` unless the condition holds.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+/// Check object `v` against the union of `tables`: every required field is
+/// present with its kind, every optional field has its kind when present,
+/// and no field appears that the tables do not declare.  Nested objects,
+/// arrays and maps are walked the same way; errors name the field's path
+/// after `ctx`.
+pub fn check(v: &Json, tables: &[Table], ctx: &str) -> Result<(), String> {
+    walk_obj(v, tables).map_err(|e| format!("{ctx}{e}"))
+}
+
+fn walk_obj(v: &Json, tables: &[Table]) -> Result<(), String> {
+    let Json::Obj(fields) = v else {
+        return Err(": not a JSON object".into());
+    };
+    let declared = || tables.iter().flat_map(|t| t.iter());
+    for (name, kind) in declared() {
+        match v.get(name) {
+            Some(fv) => walk(fv, kind).map_err(|e| format!(" {name}{e}"))?,
+            None if matches!(kind, Opt(_)) => {}
+            None => return Err(format!(": missing field {name:?}")),
+        }
+    }
+    match fields
+        .iter()
+        .find(|(f, _)| !declared().any(|(n, _)| n == f))
+    {
+        Some((name, _)) => Err(format!(": unexpected field {name:?}")),
+        None => Ok(()),
+    }
+}
+
+fn walk(v: &Json, kind: &FieldKind) -> Result<(), String> {
+    let ok = match *kind {
+        U64 => v.as_u64().is_some(),
+        F64 => v.as_f64().is_some(),
+        Bool => v.as_bool().is_some(),
+        Str => v.as_str().is_some(),
+        Name => v.as_str().is_some_and(|s| !s.is_empty()),
+        True => *v == Json::Bool(true),
+        OneOf(names) => v.as_str().is_some_and(|s| names.contains(&s)),
+        Opt(inner) => return walk(v, inner),
+        Obj(table) => return walk_obj(v, &[table]),
+        Arr(inner) => {
+            let items = v.as_array().ok_or(": not an array")?;
+            for (i, item) in items.iter().enumerate() {
+                walk(item, inner).map_err(|e| format!("[{i}]{e}"))?;
+            }
+            return Ok(());
+        }
+        Map(inner) => {
+            let Json::Obj(entries) = v else {
+                return Err(": not a JSON object".into());
+            };
+            for (key, item) in entries {
+                walk(item, inner).map_err(|e| format!(" {key}{e}"))?;
+            }
+            return Ok(());
+        }
+    };
+    match v {
+        _ if ok => Ok(()),
+        Json::Arr(_) | Json::Obj(_) => Err(format!(": expected {kind:?}")),
+        _ => Err(format!(": expected {kind:?}, found {v:?}")),
+    }
+}
+
+const NULL: &Json = &Json::Null;
+
+/// The value at a dot-separated `path` of a checked document (`null` where
+/// an optional field is absent).
+fn at<'a>(v: &'a Json, path: &str) -> &'a Json {
+    path.split('.')
+        .try_fold(v, |v, key| v.get(key))
+        .unwrap_or(NULL)
+}
+
+/// A checked u64 field; 0 where an optional field is absent.  The other
+/// `*_at` readers likewise default an absent field.
+fn u64_at(v: &Json, path: &str) -> u64 {
+    at(v, path).as_u64().unwrap_or(0)
+}
+
+fn f64_at(v: &Json, path: &str) -> f64 {
+    at(v, path).as_f64().unwrap_or(0.0)
+}
+
+fn str_at<'a>(v: &'a Json, path: &str) -> &'a str {
+    at(v, path).as_str().unwrap_or("")
+}
+
+fn arr_at<'a>(v: &'a Json, path: &str) -> &'a [Json] {
+    at(v, path).as_array().unwrap_or(&[])
+}
+
+fn obj_at<'a>(v: &'a Json, path: &str) -> &'a [(String, Json)] {
+    match at(v, path) {
+        Json::Obj(e) => e,
+        _ => &[],
+    }
+}
+
+/// A sum of counters, wide enough that no document can wrap it.
+fn sum<const N: usize>(xs: [u64; N]) -> u128 {
+    xs.into_iter().map(u128::from).sum()
+}
+
+fn parse_doc(text: &str, ctx: &str) -> Result<Json, String> {
+    json::parse(text).map_err(|e| format!("{ctx}: {e}"))
+}
+
+/// Parse every line of a JSONL stream and hand it to `line` with its
+/// context (`"<name> line <n>"`).  Blank lines are errors.
+fn each_line(
+    text: &str,
+    name: &str,
+    mut line: impl FnMut(&Json, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    for (i, text) in text.lines().enumerate() {
+        let ctx = format!("{name} line {}", i + 1);
+        ensure!(!text.trim().is_empty(), "{ctx}: blank line");
+        line(&parse_doc(text, &ctx)?, &ctx)?;
+    }
+    Ok(())
+}
+
+/// The fields every event line carries ahead of its type's fields.
+const EVENT_HEADER: Table = &[("cycle", U64), ("type", Str)];
+
 /// Field list per event type — the JSONL schema, in one place.
-pub const EVENT_SCHEMA: &[(&str, &[(&str, FieldKind)])] = &[
+pub const EVENT_SCHEMA: &[(&str, Table)] = &[
     (
         "wrong_load_issue",
-        &[
-            ("tu", FieldKind::U64),
-            ("addr", FieldKind::U64),
-            ("wrong_thread", FieldKind::Bool),
-        ],
+        &[("tu", U64), ("addr", U64), ("wrong_thread", Bool)],
     ),
-    (
-        "wec_fill",
-        &[("tu", FieldKind::U64), ("addr", FieldKind::U64)],
-    ),
+    ("wec_fill", &[("tu", U64), ("addr", U64)]),
     (
         "wec_hit",
         &[
-            ("tu", FieldKind::U64),
-            ("addr", FieldKind::U64),
-            ("wrong_fetched", FieldKind::Bool),
-            ("prefetched", FieldKind::Bool),
+            ("tu", U64),
+            ("addr", U64),
+            ("wrong_fetched", Bool),
+            ("prefetched", Bool),
         ],
     ),
-    (
-        "victim_transfer",
-        &[("tu", FieldKind::U64), ("addr", FieldKind::U64)],
-    ),
-    (
-        "next_line_prefetch",
-        &[("tu", FieldKind::U64), ("addr", FieldKind::U64)],
-    ),
-    (
-        "l1_miss",
-        &[
-            ("tu", FieldKind::U64),
-            ("addr", FieldKind::U64),
-            ("wrong", FieldKind::Bool),
-        ],
-    ),
-    (
-        "l2_miss",
-        &[("addr", FieldKind::U64), ("wrong", FieldKind::Bool)],
-    ),
+    ("victim_transfer", &[("tu", U64), ("addr", U64)]),
+    ("next_line_prefetch", &[("tu", U64), ("addr", U64)]),
+    ("l1_miss", &[("tu", U64), ("addr", U64), ("wrong", Bool)]),
+    ("l2_miss", &[("addr", U64), ("wrong", Bool)]),
     (
         "pipeline_flush",
-        &[
-            ("tu", FieldKind::U64),
-            ("pc", FieldKind::U64),
-            ("new_pc", FieldKind::U64),
-            ("squashed", FieldKind::U64),
-        ],
+        &[("tu", U64), ("pc", U64), ("new_pc", U64), ("squashed", U64)],
     ),
     (
         "commit",
-        &[
-            ("tu", FieldKind::U64),
-            ("seq", FieldKind::U64),
-            ("pc", FieldKind::U64),
-            ("op", FieldKind::Str),
-        ],
+        &[("tu", U64), ("seq", U64), ("pc", U64), ("op", Str)],
     ),
-    (
-        "begin",
-        &[("region", FieldKind::U64), ("head", FieldKind::U64)],
-    ),
+    ("begin", &[("region", U64), ("head", U64)]),
     (
         "fork",
         &[
-            ("parent", FieldKind::U64),
-            ("child", FieldKind::U64),
-            ("tu", FieldKind::U64),
-            ("deferred", FieldKind::Bool),
+            ("parent", U64),
+            ("child", U64),
+            ("tu", U64),
+            ("deferred", Bool),
         ],
     ),
-    (
-        "thread_start",
-        &[("id", FieldKind::U64), ("tu", FieldKind::U64)],
-    ),
-    ("abort", &[("id", FieldKind::U64)]),
-    ("marked_wrong", &[("id", FieldKind::U64)]),
-    ("killed", &[("id", FieldKind::U64), ("tu", FieldKind::U64)]),
-    ("wrong_died", &[("id", FieldKind::U64)]),
-    (
-        "wb_start",
-        &[("id", FieldKind::U64), ("words", FieldKind::U64)],
-    ),
-    ("retired", &[("id", FieldKind::U64), ("tu", FieldKind::U64)]),
-    ("sequential", &[("tu", FieldKind::U64)]),
+    ("thread_start", &[("id", U64), ("tu", U64)]),
+    ("abort", &[("id", U64)]),
+    ("marked_wrong", &[("id", U64)]),
+    ("killed", &[("id", U64), ("tu", U64)]),
+    ("wrong_died", &[("id", U64)]),
+    ("wb_start", &[("id", U64), ("words", U64)]),
+    ("retired", &[("id", U64), ("tu", U64)]),
+    ("sequential", &[("tu", U64)]),
 ];
 
 /// What a validated event stream contained.
@@ -125,64 +242,30 @@ impl EventReport {
     }
 }
 
-fn field_matches(v: &Json, kind: FieldKind) -> bool {
-    match kind {
-        FieldKind::U64 => v.as_u64().is_some(),
-        FieldKind::Bool => v.as_bool().is_some(),
-        FieldKind::Str => v.as_str().is_some(),
-    }
-}
-
 /// Validate a JSONL event stream against [`EVENT_SCHEMA`].  Cycles must be
 /// non-decreasing (the machine drains buffers in cycle order).
 pub fn validate_events_jsonl(text: &str) -> Result<EventReport, String> {
     let mut report = EventReport::default();
     let mut last_cycle = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = |msg: String| format!("events.jsonl line {}: {msg}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(ctx("blank line".into()));
-        }
-        let v = json::parse(line).map_err(&ctx)?;
-        let Json::Obj(fields) = &v else {
-            return Err(ctx("not a JSON object".into()));
+    each_line(text, "events.jsonl", |v, ctx| {
+        let ty = str_at(v, "type");
+        let Some(&(_, fields)) = EVENT_SCHEMA.iter().find(|(name, _)| *name == ty) else {
+            return Err(format!("{ctx}: unknown event type {ty:?}"));
         };
-        let cycle = v
-            .get("cycle")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ctx("missing/invalid \"cycle\"".into()))?;
-        if cycle < last_cycle {
-            return Err(ctx(format!(
-                "cycle {cycle} went backwards from {last_cycle}"
-            )));
-        }
+        check(v, &[EVENT_HEADER, fields], ctx)?;
+        let cycle = u64_at(v, "cycle");
+        ensure!(
+            cycle >= last_cycle,
+            "{ctx}: cycle {cycle} went backwards from {last_cycle}"
+        );
         last_cycle = cycle;
-        let ty = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing/invalid \"type\"".into()))?;
-        let Some((_, schema)) = EVENT_SCHEMA.iter().find(|(name, _)| *name == ty) else {
-            return Err(ctx(format!("unknown event type {ty:?}")));
-        };
-        for (name, kind) in schema.iter() {
-            let fv = v
-                .get(name)
-                .ok_or_else(|| ctx(format!("{ty}: missing field {name:?}")))?;
-            if !field_matches(fv, *kind) {
-                return Err(ctx(format!("{ty}: field {name:?} has wrong type")));
-            }
-        }
-        for (name, _) in fields {
-            if name != "cycle" && name != "type" && !schema.iter().any(|(n, _)| n == name) {
-                return Err(ctx(format!("{ty}: unexpected field {name:?}")));
-            }
-        }
         report.total += 1;
         match report.counts.iter_mut().find(|(k, _)| k == ty) {
             Some((_, n)) => *n += 1,
             None => report.counts.push((ty.to_string(), 1)),
         }
-    }
+        Ok(())
+    })?;
     report.counts.sort();
     Ok(report)
 }
@@ -232,131 +315,104 @@ pub fn validate_timeseries_csv(text: &str) -> Result<usize, String> {
     Ok(rows)
 }
 
+/// A [`crate::hist::Log2Histogram`] as `to_json` renders it: `buckets` are
+/// `[floor, count]` pairs.
+const HISTOGRAM: Table = &[
+    ("count", U64),
+    ("sum", U64),
+    ("min", U64),
+    ("max", U64),
+    ("buckets", Arr(&Arr(&U64))),
+];
+
+/// A histogram's bucket counts sum to its `count`.
+fn buckets_sum_to_count(h: &Json, ctx: &str) -> Result<(), String> {
+    let mut total = 0u128;
+    for b in arr_at(h, "buckets") {
+        let pair = b.as_array().unwrap_or(&[]);
+        ensure!(pair.len() == 2, "{ctx}: bucket not a pair");
+        total += u128::from(pair[1].as_u64().unwrap_or(0));
+    }
+    let count = u64_at(h, "count");
+    ensure!(
+        total == u128::from(count),
+        "{ctx}: buckets sum to {total}, count says {count}"
+    );
+    Ok(())
+}
+
 /// Validate the histograms JSON: an object of named histograms whose bucket
 /// counts sum to their `count`.  Returns the histogram names.
 pub fn validate_histograms_json(text: &str) -> Result<Vec<String>, String> {
-    let v = json::parse(text).map_err(|e| format!("histograms.json: {e}"))?;
-    let Json::Obj(fields) = &v else {
+    let v = parse_doc(text, "histograms.json")?;
+    let Json::Obj(hists) = &v else {
         return Err("histograms.json: not a JSON object".into());
     };
     let mut names = Vec::new();
-    for (name, h) in fields {
-        let count = h
-            .get("count")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("histograms.json {name}: missing count"))?;
-        let buckets = h
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("histograms.json {name}: missing buckets"))?;
-        let mut total = 0;
-        for b in buckets {
-            let pair = b
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("histograms.json {name}: bucket not a pair"))?;
-            total += pair[1]
-                .as_u64()
-                .ok_or_else(|| format!("histograms.json {name}: non-integer bucket count"))?;
-        }
-        if total != count {
-            return Err(format!(
-                "histograms.json {name}: buckets sum to {total}, count says {count}"
-            ));
-        }
-        for key in ["sum", "min", "max"] {
-            if h.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("histograms.json {name}: missing {key}"));
-            }
-        }
+    for (name, h) in hists {
+        let ctx = format!("histograms.json {name}");
+        check(h, &[HISTOGRAM], &ctx)?;
+        buckets_sum_to_count(h, &ctx)?;
         names.push(name.clone());
     }
     Ok(names)
 }
 
+/// One Chrome trace event as [`crate::perfetto::PerfettoTrace`] writes it:
+/// `M` names a track, `B`/`E` open and close a span, `i` is an instant and
+/// `C` a counter sample.
+const PERFETTO_EVENT: Table = &[
+    ("name", Opt(&Str)),
+    ("ph", OneOf(&["M", "B", "E", "i", "C"])),
+    ("s", Opt(&Str)),
+    ("pid", Opt(&U64)),
+    ("tid", Opt(&U64)),
+    ("ts", Opt(&U64)),
+    (
+        "args",
+        Opt(&Obj(&[("name", Opt(&Str)), ("value", Opt(&U64))])),
+    ),
+];
+
+const PERFETTO: Table = &[("traceEvents", Arr(&Obj(PERFETTO_EVENT)))];
+
 /// Validate a Chrome trace-event document: `traceEvents` array whose
 /// entries carry a known phase, balanced `B`/`E` per track, timestamps
 /// present on all non-metadata events.  Returns the event count.
 pub fn validate_perfetto(text: &str) -> Result<u64, String> {
-    let v = json::parse(text).map_err(|e| format!("perfetto: {e}"))?;
-    let events = v
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .ok_or("perfetto: missing traceEvents array")?;
+    let v = parse_doc(text, "perfetto")?;
+    check(&v, &[PERFETTO], "perfetto")?;
+    let events = arr_at(&v, "traceEvents");
     let mut depth: Vec<(u64, i64)> = Vec::new(); // (tid, open span depth)
     for (i, ev) in events.iter().enumerate() {
-        let ctx = |msg: String| format!("perfetto event {i}: {msg}");
-        if !ev.is_object() {
-            return Err(ctx("not an object".into()));
+        let ph = str_at(ev, "ph");
+        if ph == "M" {
+            continue;
         }
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing ph".into()))?;
-        match ph {
-            "M" => {}
-            "B" | "E" | "i" | "C" | "X" => {
-                if ev.get("ts").and_then(Json::as_u64).is_none() {
-                    return Err(ctx(format!("phase {ph} missing ts")));
-                }
-                let tid = ev.get("tid").and_then(Json::as_u64).unwrap_or(0);
-                let slot = match depth.iter_mut().find(|(t, _)| *t == tid) {
-                    Some(s) => s,
-                    None => {
-                        depth.push((tid, 0));
-                        depth.last_mut().unwrap()
-                    }
-                };
-                match ph {
-                    "B" => slot.1 += 1,
-                    "E" => {
-                        slot.1 -= 1;
-                        if slot.1 < 0 {
-                            return Err(ctx(format!("unbalanced E on tid {tid}")));
-                        }
-                    }
-                    _ => {}
-                }
+        ensure!(
+            ev.get("ts").is_some(),
+            "perfetto event {i}: phase {ph} missing ts"
+        );
+        let tid = u64_at(ev, "tid");
+        let p = match depth.iter().position(|(t, _)| *t == tid) {
+            Some(p) => p,
+            None => {
+                depth.push((tid, 0));
+                depth.len() - 1
             }
-            other => return Err(ctx(format!("unknown phase {other:?}"))),
+        };
+        let slot = &mut depth[p].1;
+        match ph {
+            "B" => *slot += 1,
+            "E" => *slot -= 1,
+            _ => {}
         }
+        ensure!(*slot >= 0, "perfetto event {i}: unbalanced E on tid {tid}");
     }
     for (tid, d) in depth {
-        if d != 0 {
-            return Err(format!("perfetto: {d} unclosed span(s) on tid {tid}"));
-        }
+        ensure!(d == 0, "perfetto: {d} unclosed span(s) on tid {tid}");
     }
     Ok(events.len() as u64)
-}
-
-fn require_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing/invalid {key:?}"))
-}
-
-fn require_f64(v: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing/invalid {key:?}"))
-}
-
-fn require_str<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing/invalid {key:?}"))
-}
-
-fn no_extra_fields(v: &Json, allowed: &[&str], ctx: &str) -> Result<(), String> {
-    let Json::Obj(fields) = v else {
-        return Err(format!("{ctx}: not a JSON object"));
-    };
-    for (name, _) in fields {
-        if !allowed.contains(&name.as_str()) {
-            return Err(format!("{ctx}: unexpected field {name:?}"));
-        }
-    }
-    Ok(())
 }
 
 /// What a validated `progress.jsonl` stream contained.
@@ -366,250 +422,159 @@ pub struct ProgressReport {
     pub finishes: u64,
 }
 
+/// A `progress.jsonl` line; a `finish` line adds [`PROGRESS_FINISH`].
+const PROGRESS: Table = &[
+    ("event", OneOf(&["start", "finish"])),
+    ("t_ms", U64),
+    ("bench", Str),
+    ("cfg", Str),
+    ("worker", U64),
+];
+
+/// `spec` marks a demand answered by a parked speculative result.
+const PROGRESS_FINISH: Table = &[
+    ("cache", OneOf(&["cold", "disk", "mem", "spec"])),
+    ("dur_ms", U64),
+    ("sim_cycles", U64),
+    ("kcps", F64),
+];
+
 /// Validate a `progress.jsonl` stream: every line is a `start` or `finish`
-/// event with exactly the declared fields, `t_ms` non-decreasing, `cache`
-/// one of `cold`/`disk`/`mem`/`spec` (the last when a demand request is
-/// satisfied by a parked speculative result), and no more finishes than
-/// starts + cached satisfactions can explain (finishes ≥ starts, since
-/// cache hits emit finish-only lines).
+/// event with exactly its fields, `t_ms` non-decreasing, and no more starts
+/// than finishes (cache hits emit finish-only lines).
 pub fn validate_progress_jsonl(text: &str) -> Result<ProgressReport, String> {
     let mut report = ProgressReport::default();
     let mut last_t = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("progress.jsonl line {}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(format!("{ctx}: blank line"));
-        }
-        let v = json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
-        let event = require_str(&v, "event", &ctx)?;
-        let t = require_u64(&v, "t_ms", &ctx)?;
-        if t < last_t {
-            return Err(format!("{ctx}: t_ms {t} went backwards from {last_t}"));
-        }
+    each_line(text, "progress.jsonl", |v, ctx| {
+        let finish = str_at(v, "event") == "finish";
+        let tables: &[Table] = if finish {
+            &[PROGRESS, PROGRESS_FINISH]
+        } else {
+            &[PROGRESS]
+        };
+        check(v, tables, ctx)?;
+        let t = u64_at(v, "t_ms");
+        ensure!(t >= last_t, "{ctx}: t_ms {t} went backwards from {last_t}");
         last_t = t;
-        require_str(&v, "bench", &ctx)?;
-        require_str(&v, "cfg", &ctx)?;
-        require_u64(&v, "worker", &ctx)?;
-        match event {
-            "start" => {
-                no_extra_fields(&v, &["event", "t_ms", "bench", "cfg", "worker"], &ctx)?;
-                report.starts += 1;
-            }
-            "finish" => {
-                let cache = require_str(&v, "cache", &ctx)?;
-                if !["cold", "disk", "mem", "spec"].contains(&cache) {
-                    return Err(format!("{ctx}: unknown cache source {cache:?}"));
-                }
-                require_u64(&v, "dur_ms", &ctx)?;
-                require_u64(&v, "sim_cycles", &ctx)?;
-                require_f64(&v, "kcps", &ctx)?;
-                no_extra_fields(
-                    &v,
-                    &[
-                        "event",
-                        "t_ms",
-                        "bench",
-                        "cfg",
-                        "worker",
-                        "cache",
-                        "dur_ms",
-                        "sim_cycles",
-                        "kcps",
-                    ],
-                    &ctx,
-                )?;
-                report.finishes += 1;
-            }
-            other => return Err(format!("{ctx}: unknown event {other:?}")),
+        if finish {
+            report.finishes += 1;
+        } else {
+            report.starts += 1;
         }
-    }
-    if report.finishes < report.starts {
-        return Err(format!(
-            "progress.jsonl: {} starts but only {} finishes",
-            report.starts, report.finishes
-        ));
-    }
+        Ok(())
+    })?;
+    ensure!(
+        report.finishes >= report.starts,
+        "progress.jsonl: {} starts but only {} finishes",
+        report.starts,
+        report.finishes
+    );
     Ok(report)
 }
 
-/// Validate a `run.json` manifest (`wec-run-manifest-v1`).  Returns the
-/// number of metric points the manifest carries.
+const RUN_MANIFEST: Table = &[
+    ("schema", OneOf(&["wec-run-manifest-v1"])),
+    ("scale", U64),
+    ("host", Str),
+    ("sim_revision", U64),
+    ("wall_s", F64),
+    (
+        "simulations",
+        Obj(&[
+            ("lookups", U64),
+            ("cold", U64),
+            ("disk_hits", U64),
+            ("mem_hits", U64),
+            ("cache_hit_rate", F64),
+        ]),
+    ),
+    (
+        "eta",
+        Obj(&[("mean_cold_ms", F64), ("sim_cycles_per_sec", F64)]),
+    ),
+    (
+        "slowest",
+        Arr(&Obj(&[
+            ("bench", Str),
+            ("cfg", Str),
+            ("cache", OneOf(&["cold", "disk", "mem"])),
+            ("dur_ms", U64),
+        ])),
+    ),
+    ("tables", Arr(&Str)),
+    ("metrics", Map(&Map(&U64))),
+];
+
+/// Validate a `run.json` manifest (`wec-run-manifest-v1`): the lookups split
+/// exactly into cold, disk and memory answers.  Returns the number of
+/// metric points the manifest carries.
 pub fn validate_run_json(text: &str) -> Result<usize, String> {
-    let v = json::parse(text).map_err(|e| format!("run.json: {e}"))?;
-    let ctx = "run.json";
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-run-manifest-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(&v, "scale", ctx)?;
-    require_str(&v, "host", ctx)?;
-    require_u64(&v, "sim_revision", ctx)?;
-    require_f64(&v, "wall_s", ctx)?;
-    no_extra_fields(
-        &v,
-        &[
-            "schema",
-            "scale",
-            "host",
-            "sim_revision",
-            "wall_s",
-            "simulations",
-            "eta",
-            "slowest",
-            "tables",
-            "metrics",
-        ],
-        ctx,
-    )?;
-
-    let sims = v
-        .get("simulations")
-        .ok_or_else(|| format!("{ctx}: missing \"simulations\""))?;
-    let sctx = "run.json simulations";
-    let lookups = require_u64(sims, "lookups", sctx)?;
-    let cold = require_u64(sims, "cold", sctx)?;
-    let disk = require_u64(sims, "disk_hits", sctx)?;
-    let mem = require_u64(sims, "mem_hits", sctx)?;
-    if cold + disk + mem != lookups {
-        return Err(format!(
-            "{sctx}: cold {cold} + disk {disk} + mem {mem} != lookups {lookups}"
-        ));
-    }
-    let rate = require_f64(sims, "cache_hit_rate", sctx)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!("{sctx}: cache_hit_rate {rate} out of [0,1]"));
-    }
-    no_extra_fields(
-        sims,
-        &["lookups", "cold", "disk_hits", "mem_hits", "cache_hit_rate"],
-        sctx,
-    )?;
-
-    let eta = v
-        .get("eta")
-        .ok_or_else(|| format!("{ctx}: missing \"eta\""))?;
-    require_f64(eta, "mean_cold_ms", "run.json eta")?;
-    require_f64(eta, "sim_cycles_per_sec", "run.json eta")?;
-    no_extra_fields(eta, &["mean_cold_ms", "sim_cycles_per_sec"], "run.json eta")?;
-
-    let slowest = v
-        .get("slowest")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"slowest\" array"))?;
-    for (i, p) in slowest.iter().enumerate() {
-        let pctx = format!("run.json slowest[{i}]");
-        require_str(p, "bench", &pctx)?;
-        require_str(p, "cfg", &pctx)?;
-        let cache = require_str(p, "cache", &pctx)?;
-        if !["cold", "disk", "mem"].contains(&cache) {
-            return Err(format!("{pctx}: unknown cache source {cache:?}"));
-        }
-        require_u64(p, "dur_ms", &pctx)?;
-        no_extra_fields(p, &["bench", "cfg", "cache", "dur_ms"], &pctx)?;
-    }
-
-    let tables = v
-        .get("tables")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"tables\" array"))?;
-    for t in tables {
-        if t.as_str().is_none() {
-            return Err(format!("{ctx}: non-string table name"));
-        }
-    }
-
-    let metrics = v
-        .get("metrics")
-        .ok_or_else(|| format!("{ctx}: missing \"metrics\""))?;
-    let Json::Obj(points) = metrics else {
-        return Err(format!("{ctx}: \"metrics\" is not an object"));
-    };
-    for (label, point) in points {
-        let Json::Obj(kv) = point else {
-            return Err(format!("{ctx}: metrics point {label:?} is not an object"));
-        };
-        for (metric, value) in kv {
-            if value.as_u64().is_none() {
-                return Err(format!(
-                    "{ctx}: metrics point {label:?} field {metric:?} is not a u64"
-                ));
-            }
-        }
-    }
-    Ok(points.len())
+    let ctx = "run.json simulations";
+    let v = parse_doc(text, "run.json")?;
+    check(&v, &[RUN_MANIFEST], "run.json")?;
+    let [lookups, cold, disk, mem] = ["lookups", "cold", "disk_hits", "mem_hits"]
+        .map(|k| u64_at(&v, &format!("simulations.{k}")));
+    ensure!(
+        sum([cold, disk, mem]) == u128::from(lookups),
+        "{ctx}: cold {cold} + disk {disk} + mem {mem} != lookups {lookups}"
+    );
+    let rate = f64_at(&v, "simulations.cache_hit_rate");
+    ensure!(
+        (0.0..=1.0).contains(&rate),
+        "{ctx}: cache_hit_rate {rate} out of [0,1]"
+    );
+    Ok(obj_at(&v, "metrics").len())
 }
 
-/// Validate a `profile.json` document (`wec-profile-v1`) against the
-/// [`crate::profile::Phase`] set.  Returns the phase names.
+const PROFILE: Table = &[
+    ("schema", OneOf(&["wec-profile-v1"])),
+    ("stride", U64),
+    ("sampled_cycles", U64),
+    ("total_cycles", U64),
+    ("wall_ns_sampled", U64),
+    ("phases", Map(&Obj(&[("ns", U64), ("share", F64)]))),
+];
+
+/// Validate a `profile.json` document (`wec-profile-v1`): exactly the
+/// [`crate::profile::Phase`] set, each share a fraction, and phase
+/// nanoseconds summing to the sampled wall time.  Returns the phase names.
 pub fn validate_profile_json(text: &str) -> Result<Vec<String>, String> {
-    let v = json::parse(text).map_err(|e| format!("profile.json: {e}"))?;
     let ctx = "profile.json";
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-profile-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
+    let v = parse_doc(text, ctx)?;
+    check(&v, &[PROFILE], ctx)?;
+    ensure!(u64_at(&v, "stride") >= 1, "{ctx}: stride must be >= 1");
+    let (sampled, total) = (u64_at(&v, "sampled_cycles"), u64_at(&v, "total_cycles"));
+    ensure!(
+        sampled <= total,
+        "{ctx}: sampled_cycles {sampled} exceeds total_cycles {total}"
+    );
+    let known = crate::profile::Phase::ALL.map(|p| p.name());
+    let phases = obj_at(&v, "phases");
+    let mut ns_total = 0u128;
+    for (name, ph) in phases {
+        ensure!(
+            known.contains(&name.as_str()),
+            "{ctx}: unknown phase {name:?}"
+        );
+        let share = f64_at(ph, "share");
+        ensure!(
+            (0.0..=1.0).contains(&share),
+            "{ctx} phase {name}: share {share} out of [0,1]"
+        );
+        ns_total += u128::from(u64_at(ph, "ns"));
     }
-    let stride = require_u64(&v, "stride", ctx)?;
-    if stride == 0 {
-        return Err(format!("{ctx}: stride must be >= 1"));
-    }
-    let sampled = require_u64(&v, "sampled_cycles", ctx)?;
-    let total = require_u64(&v, "total_cycles", ctx)?;
-    if sampled > total {
-        return Err(format!(
-            "{ctx}: sampled_cycles {sampled} exceeds total_cycles {total}"
-        ));
-    }
-    let wall = require_u64(&v, "wall_ns_sampled", ctx)?;
-    no_extra_fields(
-        &v,
-        &[
-            "schema",
-            "stride",
-            "sampled_cycles",
-            "total_cycles",
-            "wall_ns_sampled",
-            "phases",
-        ],
-        ctx,
-    )?;
-    let phases = v
-        .get("phases")
-        .ok_or_else(|| format!("{ctx}: missing \"phases\""))?;
-    let Json::Obj(fields) = phases else {
-        return Err(format!("{ctx}: \"phases\" is not an object"));
-    };
-    let known: Vec<&str> = crate::profile::Phase::ALL
-        .iter()
-        .map(|p| p.name())
-        .collect();
-    let mut names = Vec::new();
-    let mut ns_total = 0u64;
-    for (name, ph) in fields {
-        if !known.contains(&name.as_str()) {
-            return Err(format!("{ctx}: unknown phase {name:?}"));
-        }
-        let pctx = format!("profile.json phase {name}");
-        ns_total += require_u64(ph, "ns", &pctx)?;
-        let share = require_f64(ph, "share", &pctx)?;
-        if !(0.0..=1.0).contains(&share) {
-            return Err(format!("{pctx}: share {share} out of [0,1]"));
-        }
-        no_extra_fields(ph, &["ns", "share"], &pctx)?;
-        names.push(name.clone());
-    }
-    if names.len() != known.len() {
-        return Err(format!(
-            "{ctx}: {} phases present, schema declares {}",
-            names.len(),
-            known.len()
-        ));
-    }
-    if ns_total != wall {
-        return Err(format!(
-            "{ctx}: phase ns sum to {ns_total}, wall_ns_sampled says {wall}"
-        ));
-    }
-    Ok(names)
+    ensure!(
+        phases.len() == known.len(),
+        "{ctx}: {} phases present, schema declares {}",
+        phases.len(),
+        known.len()
+    );
+    let wall = u64_at(&v, "wall_ns_sampled");
+    ensure!(
+        ns_total == u128::from(wall),
+        "{ctx}: phase ns sum to {ns_total}, wall_ns_sampled says {wall}"
+    );
+    Ok(phases.iter().map(|(n, _)| n.clone()).collect())
 }
 
 /// What a validated `wec-attribution-v1` document contained.
@@ -626,411 +591,299 @@ pub struct AttributionCheck {
     pub top_pcs: u64,
 }
 
-/// The eight lifecycle counters of one attribution totals object, checked
-/// strictly: exactly the declared fields, the conservation invariant
-/// `useful + wasted + victim_rescued + still_resident == wec_fills`, the
-/// origin split summing to the same total, and `pollution_bytes` equal to
-/// `wasted * block_bytes`.
-fn attr_totals(v: &Json, block_bytes: u64, ctx: &str) -> Result<[u64; 8], String> {
-    const KEYS: [&str; 8] = [
+/// One ledger totals object.  [`attr_totals`] reads the first eight fields
+/// by position.
+const ATTR_TOTALS: Table = &[
+    ("wec_fills", U64),
+    ("fills_wrong", U64),
+    ("fills_victim", U64),
+    ("fills_prefetch", U64),
+    ("useful", U64),
+    ("wasted", U64),
+    ("victim_rescued", U64),
+    ("still_resident", U64),
+    ("pollution_bytes", U64),
+];
+
+const ATTRIBUTION: Table = &[
+    ("schema", OneOf(&["wec-attribution-v1"])),
+    ("block_bytes", U64),
+    ("l1_sets", U64),
+    ("n_tus", U64),
+    ("totals", Obj(ATTR_TOTALS)),
+    ("tus", Arr(&Obj(ATTR_TOTALS))),
+    ("timeliness", Obj(HISTOGRAM)),
+    (
+        "top_pcs",
+        Arr(&Obj(&[
+            ("pc", U64),
+            ("useful", U64),
+            ("wasted", U64),
+            ("median_timeliness", U64),
+            ("pollution_bytes", U64),
+        ])),
+    ),
+    (
+        "sets",
+        Obj(&[
+            ("l1_accesses", Arr(&U64)),
+            ("l1_misses", Arr(&U64)),
+            ("side_fills", Arr(&U64)),
+            ("side_hits", Arr(&U64)),
+            ("victim_transfers", Arr(&U64)),
+        ]),
+    ),
+];
+
+/// The lifecycle conservation invariant: every WEC fill ends exactly one
+/// way, `useful + wasted + victim_rescued + still_resident == wec_fills`.
+fn conserves(t: &Json, ctx: &str) -> Result<(), String> {
+    let [fills, useful, wasted, rescued, resident] = [
         "wec_fills",
-        "fills_wrong",
-        "fills_victim",
-        "fills_prefetch",
         "useful",
         "wasted",
         "victim_rescued",
         "still_resident",
-    ];
-    let mut out = [0u64; 8];
-    for (slot, key) in out.iter_mut().zip(KEYS) {
-        *slot = require_u64(v, key, ctx)?;
-    }
-    let [fills, wrong, victim, prefetch, useful, wasted, rescued, resident] = out;
-    if useful + wasted + rescued + resident != fills {
-        return Err(format!(
-            "{ctx}: conservation violated: {useful}+{wasted}+{rescued}+{resident} != {fills}"
-        ));
-    }
-    if wrong + victim + prefetch != fills {
-        return Err(format!(
-            "{ctx}: origin split {wrong}+{victim}+{prefetch} != wec_fills {fills}"
-        ));
-    }
-    let pollution = require_u64(v, "pollution_bytes", ctx)?;
-    if pollution != wasted * block_bytes {
-        return Err(format!(
-            "{ctx}: pollution_bytes {pollution} != wasted {wasted} * block_bytes {block_bytes}"
-        ));
-    }
-    no_extra_fields(
-        v,
-        &[
-            "wec_fills",
-            "fills_wrong",
-            "fills_victim",
-            "fills_prefetch",
-            "useful",
-            "wasted",
-            "victim_rescued",
-            "still_resident",
-            "pollution_bytes",
-        ],
-        ctx,
-    )?;
+    ]
+    .map(|k| u64_at(t, k));
+    ensure!(
+        sum([useful, wasted, rescued, resident]) == u128::from(fills),
+        "{ctx}: conservation violated: {useful}+{wasted}+{rescued}+{resident} != {fills}"
+    );
+    Ok(())
+}
+
+/// One totals object's invariants — conservation, the origin split summing
+/// to the same total, and `pollution_bytes == wasted * block_bytes` — and
+/// its first eight counters in [`ATTR_TOTALS`] order.
+fn attr_totals(t: &Json, block_bytes: u64, ctx: &str) -> Result<[u64; 8], String> {
+    conserves(t, ctx)?;
+    let out: [u64; 8] = std::array::from_fn(|i| u64_at(t, ATTR_TOTALS[i].0));
+    let [fills, wrong, victim, prefetch, _, wasted, _, _] = out;
+    ensure!(
+        sum([wrong, victim, prefetch]) == u128::from(fills),
+        "{ctx}: origin split {wrong}+{victim}+{prefetch} != wec_fills {fills}"
+    );
+    let pollution = u64_at(t, "pollution_bytes");
+    ensure!(
+        u128::from(pollution) == u128::from(wasted) * u128::from(block_bytes),
+        "{ctx}: pollution_bytes {pollution} != wasted {wasted} * block_bytes {block_bytes}"
+    );
     Ok(out)
 }
 
-fn attr_set_array(v: &Json, key: &str, len: u64, ctx: &str) -> Result<u64, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing/invalid array {key:?}"))?;
-    if arr.len() as u64 != len {
-        return Err(format!(
-            "{ctx}: {key:?} has {} entries, l1_sets says {len}",
-            arr.len()
-        ));
-    }
-    let mut sum = 0u64;
-    for (i, e) in arr.iter().enumerate() {
-        sum += e
-            .as_u64()
-            .ok_or_else(|| format!("{ctx}: {key:?}[{i}] is not a u64"))?;
-    }
-    Ok(sum)
-}
-
 /// Validate a `wec-attribution-v1` document (the speculation attribution
-/// ledger's `attribution.json`).  Schema-strict like every validator
-/// here, and enforces the ledger invariants per TU **and** globally:
-/// conservation, origin split, per-TU totals summing to the global
-/// totals, the timeliness histogram counting exactly the useful lines,
-/// and set heatmaps consistent with the fill counters.
+/// ledger's `attribution.json`), enforcing the ledger invariants per TU
+/// **and** globally: conservation, origin split, per-TU totals summing to
+/// the global totals, the timeliness histogram counting exactly the useful
+/// lines, the top-PC table in credit order, and set heatmaps consistent
+/// with the fill counters.
 pub fn validate_attribution_json(text: &str) -> Result<AttributionCheck, String> {
     let ctx = "attribution.json";
-    let v = json::parse(text).map_err(|e| format!("{ctx}: {e}"))?;
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-attribution-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    let block_bytes = require_u64(&v, "block_bytes", ctx)?;
-    let l1_sets = require_u64(&v, "l1_sets", ctx)?;
-    let n_tus = require_u64(&v, "n_tus", ctx)?;
-    if block_bytes == 0 || l1_sets == 0 || n_tus == 0 {
-        return Err(format!(
-            "{ctx}: degenerate geometry ({block_bytes} B blocks, {l1_sets} sets, {n_tus} TUs)"
-        ));
-    }
-    let totals = v
-        .get("totals")
-        .ok_or_else(|| format!("{ctx}: missing \"totals\""))?;
-    let global = attr_totals(totals, block_bytes, &format!("{ctx} totals"))?;
-    let tus = v
-        .get("tus")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"tus\" array"))?;
-    if tus.len() as u64 != n_tus {
-        return Err(format!("{ctx}: {} TU rows, n_tus says {n_tus}", tus.len()));
-    }
-    let mut summed = [0u64; 8];
+    let v = parse_doc(text, ctx)?;
+    check(&v, &[ATTRIBUTION], ctx)?;
+    let [block_bytes, l1_sets, n_tus] = ["block_bytes", "l1_sets", "n_tus"].map(|k| u64_at(&v, k));
+    ensure!(
+        block_bytes > 0 && l1_sets > 0 && n_tus > 0,
+        "{ctx}: degenerate geometry ({block_bytes} B blocks, {l1_sets} sets, {n_tus} TUs)"
+    );
+    let global = attr_totals(at(&v, "totals"), block_bytes, &format!("{ctx} totals"))?;
+    let tus = arr_at(&v, "tus");
+    ensure!(
+        tus.len() as u64 == n_tus,
+        "{ctx}: {} TU rows, n_tus says {n_tus}",
+        tus.len()
+    );
+    let mut summed = [0u128; 8];
     for (i, tu) in tus.iter().enumerate() {
         let row = attr_totals(tu, block_bytes, &format!("{ctx} tus[{i}]"))?;
         for (s, r) in summed.iter_mut().zip(row) {
-            *s += r;
+            *s += u128::from(r);
         }
     }
-    if summed != global {
-        return Err(format!(
-            "{ctx}: per-TU totals {summed:?} do not sum to the global totals {global:?}"
-        ));
-    }
-    let timeliness = v
-        .get("timeliness")
-        .ok_or_else(|| format!("{ctx}: missing \"timeliness\""))?;
-    let t_count = require_u64(timeliness, "count", &format!("{ctx} timeliness"))?;
-    let buckets = timeliness
-        .get("buckets")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx} timeliness: missing buckets"))?;
-    let mut b_total = 0u64;
-    for b in buckets {
-        let pair = b
-            .as_array()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{ctx} timeliness: bucket not a pair"))?;
-        b_total += pair[1]
-            .as_u64()
-            .ok_or_else(|| format!("{ctx} timeliness: non-integer bucket count"))?;
-    }
-    if b_total != t_count {
-        return Err(format!(
-            "{ctx} timeliness: buckets sum to {b_total}, count says {t_count}"
-        ));
-    }
-    let useful = global[4];
-    if t_count != useful {
-        return Err(format!(
-            "{ctx}: timeliness count {t_count} != useful lines {useful}"
-        ));
-    }
-    let top = v
-        .get("top_pcs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"top_pcs\" array"))?;
+    ensure!(
+        summed == global.map(u128::from),
+        "{ctx}: per-TU totals {summed:?} do not sum to the global totals {global:?}"
+    );
+    let [fills, wrong, victim, prefetch, useful, wasted, rescued, _] = global;
+    let timeliness = at(&v, "timeliness");
+    buckets_sum_to_count(timeliness, &format!("{ctx} timeliness"))?;
+    let t_count = u64_at(timeliness, "count");
+    ensure!(
+        t_count == useful,
+        "{ctx}: timeliness count {t_count} != useful lines {useful}"
+    );
+    let top = arr_at(&v, "top_pcs");
     let mut prev: Option<(u64, u64, u64)> = None;
-    let mut top_useful = 0u64;
+    let mut top_useful = 0u128;
     for (i, row) in top.iter().enumerate() {
         let rctx = format!("{ctx} top_pcs[{i}]");
-        let pc = require_u64(row, "pc", &rctx)?;
-        let u = require_u64(row, "useful", &rctx)?;
-        let w = require_u64(row, "wasted", &rctx)?;
-        require_u64(row, "median_timeliness", &rctx)?;
-        let p = require_u64(row, "pollution_bytes", &rctx)?;
-        if p != w * block_bytes {
-            return Err(format!("{rctx}: pollution_bytes {p} != wasted {w} * block"));
-        }
-        no_extra_fields(
-            row,
-            &[
-                "pc",
-                "useful",
-                "wasted",
-                "median_timeliness",
-                "pollution_bytes",
-            ],
-            &rctx,
-        )?;
+        let [pc, pu, pw, pb] =
+            ["pc", "useful", "wasted", "pollution_bytes"].map(|k| u64_at(row, k));
+        ensure!(
+            u128::from(pb) == u128::from(pw) * u128::from(block_bytes),
+            "{rctx}: pollution_bytes {pb} != wasted {pw} * block"
+        );
         // Sorted: useful desc, then wasted desc, then pc asc.
-        if let Some((pu, pw, ppc)) = prev {
-            if (u, w, std::cmp::Reverse(pc)) > (pu, pw, std::cmp::Reverse(ppc)) {
-                return Err(format!("{rctx}: table not sorted by credit"));
-            }
+        if let Some((u0, w0, pc0)) = prev {
+            let key = |u, w, pc| (u, w, std::cmp::Reverse(pc));
+            ensure!(
+                key(pu, pw, pc) <= key(u0, w0, pc0),
+                "{rctx}: table not sorted by credit"
+            );
         }
-        prev = Some((u, w, pc));
-        top_useful += u;
+        prev = Some((pu, pw, pc));
+        top_useful += u128::from(pu);
     }
-    if top_useful > useful {
-        return Err(format!(
-            "{ctx}: top_pcs claim {top_useful} useful lines, totals say {useful}"
-        ));
-    }
-    let sets = v
-        .get("sets")
-        .ok_or_else(|| format!("{ctx}: missing \"sets\""))?;
+    ensure!(
+        top_useful <= u128::from(useful),
+        "{ctx}: top_pcs claim {top_useful} useful lines, totals say {useful}"
+    );
     let sctx = format!("{ctx} sets");
-    let acc = attr_set_array(sets, "l1_accesses", l1_sets, &sctx)?;
-    let mis = attr_set_array(sets, "l1_misses", l1_sets, &sctx)?;
-    if mis > acc {
-        return Err(format!("{sctx}: {mis} misses exceed {acc} accesses"));
+    for (key, a) in obj_at(&v, "sets") {
+        let n = a.as_array().map_or(0, <[Json]>::len) as u64;
+        ensure!(
+            n == l1_sets,
+            "{sctx}: {key:?} has {n} entries, l1_sets says {l1_sets}"
+        );
     }
-    let side_fills = attr_set_array(sets, "side_fills", l1_sets, &sctx)?;
-    attr_set_array(sets, "side_hits", l1_sets, &sctx)?;
-    let victims = attr_set_array(sets, "victim_transfers", l1_sets, &sctx)?;
-    if side_fills != global[1] + global[3] {
-        return Err(format!(
-            "{sctx}: side_fills sum {side_fills} != wrong {} + prefetch {}",
-            global[1], global[3]
-        ));
-    }
-    if victims != global[2] {
-        return Err(format!(
-            "{sctx}: victim_transfers sum {victims} != fills_victim {}",
-            global[2]
-        ));
-    }
-    no_extra_fields(
-        sets,
-        &[
-            "l1_accesses",
-            "l1_misses",
-            "side_fills",
-            "side_hits",
-            "victim_transfers",
-        ],
-        &sctx,
-    )?;
-    no_extra_fields(
-        &v,
-        &[
-            "schema",
-            "block_bytes",
-            "l1_sets",
-            "n_tus",
-            "totals",
-            "tus",
-            "timeliness",
-            "top_pcs",
-            "sets",
-        ],
-        ctx,
-    )?;
+    let set_sum = |key: &str| -> u128 {
+        let a = arr_at(&v, &format!("sets.{key}"));
+        a.iter().filter_map(Json::as_u64).map(u128::from).sum()
+    };
+    let (acc, mis, side_fills, victims) = (
+        set_sum("l1_accesses"),
+        set_sum("l1_misses"),
+        set_sum("side_fills"),
+        set_sum("victim_transfers"),
+    );
+    ensure!(mis <= acc, "{sctx}: {mis} misses exceed {acc} accesses");
+    ensure!(
+        side_fills == sum([wrong, prefetch]),
+        "{sctx}: side_fills sum {side_fills} != wrong {wrong} + prefetch {prefetch}"
+    );
+    ensure!(
+        victims == u128::from(victim),
+        "{sctx}: victim_transfers sum {victims} != fills_victim {victim}"
+    );
     Ok(AttributionCheck {
         n_tus,
-        wec_fills: global[0],
-        fills_wrong: global[1],
-        fills_victim: global[2],
-        fills_prefetch: global[3],
+        wec_fills: fills,
+        fills_wrong: wrong,
+        fills_victim: victim,
+        fills_prefetch: prefetch,
         useful,
-        wasted: global[5],
-        victim_rescued: global[6],
+        wasted,
+        victim_rescued: rescued,
         top_pcs: top.len() as u64,
     })
 }
 
+/// A job's attribution summary: `{}` (attribution off or not applicable)
+/// or exactly these five counters.
+const ATTR_SUMMARY: Table = &[
+    ("wec_fills", U64),
+    ("useful", U64),
+    ("wasted", U64),
+    ("victim_rescued", U64),
+    ("still_resident", U64),
+];
+
 /// Validate the attribution summary object embedded in a job record:
-/// either empty (`{}` — attribution off or not applicable) or exactly the
-/// five lifecycle counters with conservation holding.
+/// either empty or the five lifecycle counters with conservation holding.
 pub fn validate_attr_summary(v: &Json, ctx: &str) -> Result<(), String> {
-    let Json::Obj(fields) = v else {
-        return Err(format!("{ctx}: not a JSON object"));
-    };
-    if fields.is_empty() {
+    if *v == Json::Obj(Vec::new()) {
         return Ok(());
     }
-    let fills = require_u64(v, "wec_fills", ctx)?;
-    let useful = require_u64(v, "useful", ctx)?;
-    let wasted = require_u64(v, "wasted", ctx)?;
-    let rescued = require_u64(v, "victim_rescued", ctx)?;
-    let resident = require_u64(v, "still_resident", ctx)?;
-    if useful + wasted + rescued + resident != fills {
-        return Err(format!(
-            "{ctx}: conservation violated: {useful}+{wasted}+{rescued}+{resident} != {fills}"
-        ));
+    check(v, &[ATTR_SUMMARY], ctx)?;
+    conserves(v, ctx)
+}
+
+const JOB_KINDS: &[&str] = &["sim", "replay"];
+const JOB_STATES: &[&str] = &["queued", "running", "done", "failed", "cancelled"];
+const JOB_SOURCES: &[&str] = &["none", "cold", "disk", "mem", "spec"];
+
+/// `speculative` is emitted only by `--speculate` servers; `backend_id`
+/// only by daemons started with `--backend-id`.
+const JOB_RECORD: Table = &[
+    ("schema", OneOf(&["wec-job-record-v1"])),
+    ("id", U64),
+    ("kind", OneOf(JOB_KINDS)),
+    ("bench", Str),
+    ("scale", U64),
+    ("cfg", Str),
+    ("state", OneOf(JOB_STATES)),
+    ("source", OneOf(JOB_SOURCES)),
+    ("submissions", U64),
+    ("worker", U64),
+    ("submit_t_ms", U64),
+    ("start_t_ms", U64),
+    ("finish_t_ms", U64),
+    ("dur_ms", U64),
+    ("sim_cycles", U64),
+    ("speculative", Opt(&True)),
+    ("backend_id", Opt(&Name)),
+    ("error", Str),
+    ("metrics", Map(&U64)),
+    ("attribution", Map(&U64)),
+];
+
+/// The state and source rules a job record and a dashboard job row share:
+/// a done job names its source; only a speculative job is cancelled, and
+/// then without a source; and only a speculative job that no demand
+/// claimed has zero submissions.
+fn job_rules(v: &Json, ctx: &str) -> Result<(), String> {
+    let (state, source) = (str_at(v, "state"), str_at(v, "source"));
+    let speculative = v.get("speculative").is_some();
+    ensure!(
+        state != "done" || source != "none",
+        "{ctx}: done job has no cache source"
+    );
+    if state == "cancelled" {
+        ensure!(speculative, "{ctx}: cancelled job is not speculative");
+        ensure!(
+            source == "none",
+            "{ctx}: cancelled job carries source {source:?}"
+        );
     }
-    no_extra_fields(
-        v,
-        &[
-            "wec_fills",
-            "useful",
-            "wasted",
-            "victim_rescued",
-            "still_resident",
-        ],
-        ctx,
-    )
+    ensure!(
+        speculative || u64_at(v, "submissions") > 0,
+        "{ctx}: submissions must be >= 1"
+    );
+    Ok(())
 }
 
 /// Validate one `wec-job-record-v1` document (a serve-mode job record, as
-/// returned by `GET /jobs/<id>` and logged to `jobs.jsonl`).  Strict like
-/// every other validator here: exactly the declared fields, each with the
-/// right type, with the cross-field invariants a consistent record obeys.
+/// returned by `GET /jobs/<id>` and logged to `jobs.jsonl`): the shared
+/// state rules, ordered timestamps, an error exactly on failed jobs,
+/// metrics on done jobs, and a conserving attribution summary.
 pub fn validate_job_record(v: &Json, ctx: &str) -> Result<(), String> {
-    let schema = require_str(v, "schema", ctx)?;
-    if schema != "wec-job-record-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(v, "id", ctx)?;
-    let kind = require_str(v, "kind", ctx)?;
-    if !["sim", "replay"].contains(&kind) {
-        return Err(format!("{ctx}: unknown kind {kind:?}"));
-    }
-    require_str(v, "bench", ctx)?;
-    require_u64(v, "scale", ctx)?;
-    require_str(v, "cfg", ctx)?;
-    let state = require_str(v, "state", ctx)?;
-    if !["queued", "running", "done", "failed", "cancelled"].contains(&state) {
-        return Err(format!("{ctx}: unknown state {state:?}"));
-    }
-    let source = require_str(v, "source", ctx)?;
-    if !["none", "cold", "disk", "mem", "spec"].contains(&source) {
-        return Err(format!("{ctx}: unknown source {source:?}"));
-    }
-    if state == "done" && source == "none" {
-        return Err(format!("{ctx}: done job has no cache source"));
-    }
-    // `speculative` is emitted only by `--speculate` servers and only as
-    // `true`; its absence means a plain demand job.
-    let speculative = match v.get("speculative") {
-        None => false,
-        Some(Json::Bool(true)) => true,
-        Some(_) => return Err(format!("{ctx}: \"speculative\" must be true when present")),
-    };
-    if state == "cancelled" {
-        if !speculative {
-            return Err(format!("{ctx}: cancelled job is not speculative"));
-        }
-        if source != "none" {
-            return Err(format!("{ctx}: cancelled job carries source {source:?}"));
-        }
-    }
-    let submissions = require_u64(v, "submissions", ctx)?;
-    // A speculative job that was never claimed by a demand request has
-    // zero submissions; every demand job has at least one.
-    if submissions == 0 && !speculative {
-        return Err(format!("{ctx}: submissions must be >= 1"));
-    }
-    require_u64(v, "worker", ctx)?;
-    let submit = require_u64(v, "submit_t_ms", ctx)?;
-    let start = require_u64(v, "start_t_ms", ctx)?;
-    let finish = require_u64(v, "finish_t_ms", ctx)?;
-    if start > 0 && start < submit {
-        return Err(format!("{ctx}: start_t_ms {start} before submit {submit}"));
-    }
-    if finish > 0 && finish < start {
-        return Err(format!("{ctx}: finish_t_ms {finish} before start {start}"));
-    }
-    require_u64(v, "dur_ms", ctx)?;
-    require_u64(v, "sim_cycles", ctx)?;
-    let error = require_str(v, "error", ctx)?;
-    if state == "failed" && error.is_empty() {
-        return Err(format!("{ctx}: failed job carries no error message"));
-    }
-    if state != "failed" && !error.is_empty() {
-        return Err(format!("{ctx}: non-failed job carries error {error:?}"));
-    }
-    let metrics = v
-        .get("metrics")
-        .ok_or_else(|| format!("{ctx}: missing \"metrics\""))?;
-    let Json::Obj(kv) = metrics else {
-        return Err(format!("{ctx}: \"metrics\" is not an object"));
-    };
-    for (k, val) in kv {
-        if val.as_u64().is_none() {
-            return Err(format!("{ctx}: metric {k:?} is not a u64"));
-        }
-    }
-    if state == "done" && kv.is_empty() {
-        return Err(format!("{ctx}: done job has no metrics"));
-    }
-    let attribution = v
-        .get("attribution")
-        .ok_or_else(|| format!("{ctx}: missing \"attribution\""))?;
-    validate_attr_summary(attribution, &format!("{ctx} attribution"))?;
-    // `backend_id` is emitted only by daemons started with `--backend-id`
-    // (sharded clusters); its absence is a single-node record.
-    if v.get("backend_id").is_some() {
-        let b = require_str(v, "backend_id", ctx)?;
-        if b.is_empty() {
-            return Err(format!("{ctx}: \"backend_id\" must be non-empty"));
-        }
-    }
-    no_extra_fields(
-        v,
-        &[
-            "schema",
-            "id",
-            "kind",
-            "bench",
-            "scale",
-            "cfg",
-            "state",
-            "source",
-            "submissions",
-            "worker",
-            "submit_t_ms",
-            "start_t_ms",
-            "finish_t_ms",
-            "dur_ms",
-            "sim_cycles",
-            "speculative",
-            "backend_id",
-            "error",
-            "metrics",
-            "attribution",
-        ],
-        ctx,
-    )
+    check(v, &[JOB_RECORD], ctx)?;
+    job_rules(v, ctx)?;
+    let [submit, start, finish] =
+        ["submit_t_ms", "start_t_ms", "finish_t_ms"].map(|k| u64_at(v, k));
+    ensure!(
+        start == 0 || start >= submit,
+        "{ctx}: start_t_ms {start} before submit {submit}"
+    );
+    ensure!(
+        finish == 0 || finish >= start,
+        "{ctx}: finish_t_ms {finish} before start {start}"
+    );
+    let (state, error) = (str_at(v, "state"), str_at(v, "error"));
+    ensure!(
+        state != "failed" || !error.is_empty(),
+        "{ctx}: failed job carries no error message"
+    );
+    ensure!(
+        state == "failed" || error.is_empty(),
+        "{ctx}: non-failed job carries error {error:?}"
+    );
+    ensure!(
+        state != "done" || !obj_at(v, "metrics").is_empty(),
+        "{ctx}: done job has no metrics"
+    );
+    validate_attr_summary(at(v, "attribution"), &format!("{ctx} attribution"))
 }
 
 /// What a validated `jobs.jsonl` stream contained.
@@ -1047,17 +900,12 @@ pub struct JobsReport {
 /// for reclaimed speculations — `cancelled`).
 pub fn validate_jobs_jsonl(text: &str) -> Result<JobsReport, String> {
     let mut report = JobsReport::default();
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("jobs.jsonl line {}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(format!("{ctx}: blank line"));
-        }
-        let v = json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
-        validate_job_record(&v, &ctx)?;
-        match v.get("state").and_then(Json::as_str) {
-            Some("done") => report.done += 1,
-            Some("failed") => report.failed += 1,
-            Some("cancelled") => report.cancelled += 1,
+    each_line(text, "jobs.jsonl", |v, ctx| {
+        validate_job_record(v, ctx)?;
+        match str_at(v, "state") {
+            "done" => report.done += 1,
+            "failed" => report.failed += 1,
+            "cancelled" => report.cancelled += 1,
             other => {
                 return Err(format!(
                     "{ctx}: non-terminal state {other:?} in the terminal log"
@@ -1065,197 +913,152 @@ pub fn validate_jobs_jsonl(text: &str) -> Result<JobsReport, String> {
             }
         }
         report.total += 1;
-    }
+        Ok(())
+    })?;
     Ok(report)
+}
+
+const JOB_COUNTS: Table = &[
+    ("submitted", U64),
+    ("deduped", U64),
+    ("completed", U64),
+    ("failed", U64),
+];
+
+/// Every started speculation ends as exactly one of these, or is pending.
+const SPEC_LEDGER: Table = &[
+    ("started", U64),
+    ("hit", U64),
+    ("miss", U64),
+    ("waste", U64),
+    ("cancelled", U64),
+    ("pending", U64),
+];
+
+/// The serve-stats document, v1 and v2 in one table: the optional
+/// speculation fields are present exactly in `wec-serve-stats-v2`, the
+/// document of a `--speculate` server.  Only `--backend-id` daemons stamp
+/// `backend_id`.
+const SERVE_STATS: Table = &[
+    (
+        "schema",
+        OneOf(&["wec-serve-stats-v1", "wec-serve-stats-v2"]),
+    ),
+    ("backend_id", Opt(&Name)),
+    ("uptime_ms", U64),
+    ("workers", U64),
+    ("busy_workers", U64),
+    ("draining", Bool),
+    (
+        "queue",
+        Obj(&[
+            ("depth", U64),
+            ("cap", U64),
+            ("rejected", U64),
+            ("spec_depth", Opt(&U64)),
+            ("spec_cap", Opt(&U64)),
+        ]),
+    ),
+    ("jobs", Obj(JOB_COUNTS)),
+    (
+        "cache",
+        Obj(&[
+            ("cold", U64),
+            ("disk_hits", U64),
+            ("mem_hits", U64),
+            ("spec_hits", Opt(&U64)),
+        ]),
+    ),
+    ("spec", Opt(&Obj(SPEC_LEDGER))),
+    (
+        "throughput",
+        Obj(&[("jobs_per_sec", F64), ("utilization", F64)]),
+    ),
+];
+
+/// The speculation ledger conserves: `hit + waste + cancelled + pending ==
+/// started`.
+fn spec_conserves(sp: &Json, ctx: &str) -> Result<(), String> {
+    let [started, hit, waste, cancelled, pending] =
+        ["started", "hit", "waste", "cancelled", "pending"].map(|k| u64_at(sp, k));
+    ensure!(
+        sum([hit, waste, cancelled, pending]) == u128::from(started),
+        "{ctx}: hit {hit} + waste {waste} + cancelled {cancelled} \
+         + pending {pending} != started {started}"
+    );
+    Ok(())
 }
 
 /// Validate a serve-stats document (the `GET /stats` payload and the
 /// server's exit-time `stats.json`): `wec-serve-stats-v1`, or the
 /// `wec-serve-stats-v2` superset a `--speculate` server emits.
 pub fn validate_serve_stats_json(text: &str) -> Result<(), String> {
-    let v = json::parse(text).map_err(|e| format!("stats.json: {e}"))?;
+    let v = parse_doc(text, "stats.json")?;
     validate_serve_stats(&v, "stats.json")
 }
 
 /// Validate an already-parsed serve-stats value (v1 or v2) — the same
-/// document also rides embedded inside `wec-dashboard-data-v1`.  The v2
-/// speculation block must conserve: every started speculation is exactly
-/// one of hit, waste, cancelled, or still pending, and completions split
-/// exactly across `cold`/`disk_hits`/`mem_hits`/`spec_hits`.
+/// document rides embedded in `wec-dashboard-data-v2` and in the router's
+/// stats.  Completions split exactly across `cold`/`disk_hits`/`mem_hits`
+/// (/`spec_hits`), and the v2 speculation ledger conserves.
 pub fn validate_serve_stats(v: &Json, ctx: &str) -> Result<(), String> {
-    let schema = require_str(v, "schema", ctx)?;
-    let v2 = match schema {
-        "wec-serve-stats-v1" => false,
-        "wec-serve-stats-v2" => true,
-        _ => return Err(format!("{ctx}: unknown schema {schema:?}")),
-    };
-    require_u64(v, "uptime_ms", ctx)?;
-    let workers = require_u64(v, "workers", ctx)?;
-    if workers == 0 {
-        return Err(format!("{ctx}: workers must be >= 1"));
+    check(v, &[SERVE_STATS], ctx)?;
+    let v2 = str_at(v, "schema") == "wec-serve-stats-v2";
+    // The speculation fields belong to v2, and only to v2.
+    for path in [
+        "queue.spec_depth",
+        "queue.spec_cap",
+        "cache.spec_hits",
+        "spec",
+    ] {
+        ensure!(
+            (at(v, path) != NULL) == v2,
+            "{ctx}: {path} must be present exactly in wec-serve-stats-v2"
+        );
     }
-    let busy = require_u64(v, "busy_workers", ctx)?;
-    if busy > workers {
-        return Err(format!(
-            "{ctx}: busy_workers {busy} exceeds workers {workers}"
-        ));
-    }
-    v.get("draining")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing/invalid \"draining\""))?;
-    // Optional in both versions: only `--backend-id` daemons stamp it.
-    if v.get("backend_id").is_some() {
-        let b = require_str(v, "backend_id", ctx)?;
-        if b.is_empty() {
-            return Err(format!("{ctx}: \"backend_id\" must be non-empty"));
-        }
-    }
-    let top: &[&str] = if v2 {
-        &[
-            "schema",
-            "backend_id",
-            "uptime_ms",
-            "workers",
-            "busy_workers",
-            "draining",
-            "queue",
-            "jobs",
-            "cache",
-            "spec",
-            "throughput",
-        ]
-    } else {
-        &[
-            "schema",
-            "backend_id",
-            "uptime_ms",
-            "workers",
-            "busy_workers",
-            "draining",
-            "queue",
-            "jobs",
-            "cache",
-            "throughput",
-        ]
-    };
-    no_extra_fields(v, top, ctx)?;
-
-    let queue = v
-        .get("queue")
-        .ok_or_else(|| format!("{ctx}: missing \"queue\""))?;
-    let qctx = format!("{ctx} queue");
-    let depth = require_u64(queue, "depth", &qctx)?;
-    let cap = require_u64(queue, "cap", &qctx)?;
-    if depth > cap {
-        return Err(format!("{qctx}: depth {depth} exceeds cap {cap}"));
-    }
-    require_u64(queue, "rejected", &qctx)?;
+    let (workers, busy) = (u64_at(v, "workers"), u64_at(v, "busy_workers"));
+    ensure!(workers >= 1, "{ctx}: workers must be >= 1");
+    ensure!(
+        busy <= workers,
+        "{ctx}: busy_workers {busy} exceeds workers {workers}"
+    );
+    let [depth, cap, sdepth, scap] =
+        ["depth", "cap", "spec_depth", "spec_cap"].map(|k| u64_at(v, &format!("queue.{k}")));
+    ensure!(depth <= cap, "{ctx} queue: depth {depth} exceeds cap {cap}");
+    ensure!(
+        sdepth <= scap,
+        "{ctx} queue: spec_depth {sdepth} exceeds spec_cap {scap}"
+    );
+    let [submitted, deduped, completed, failed] =
+        ["submitted", "deduped", "completed", "failed"].map(|k| u64_at(v, &format!("jobs.{k}")));
+    ensure!(
+        deduped <= submitted,
+        "{ctx} jobs: deduped {deduped} exceeds submitted {submitted}"
+    );
+    ensure!(
+        sum([completed, failed]) <= u128::from(submitted),
+        "{ctx} jobs: completed {completed} + failed {failed} exceeds submitted {submitted}"
+    );
+    let [cold, disk, mem, spec_hits] =
+        ["cold", "disk_hits", "mem_hits", "spec_hits"].map(|k| u64_at(v, &format!("cache.{k}")));
+    ensure!(
+        sum([cold, disk, mem, spec_hits]) == u128::from(completed),
+        "{ctx} cache: cold {cold} + disk {disk} + mem {mem} + spec {spec_hits} \
+         != completed {completed}"
+    );
     if v2 {
-        let sdepth = require_u64(queue, "spec_depth", &qctx)?;
-        let scap = require_u64(queue, "spec_cap", &qctx)?;
-        if sdepth > scap {
-            return Err(format!(
-                "{qctx}: spec_depth {sdepth} exceeds spec_cap {scap}"
-            ));
-        }
-        no_extra_fields(
-            queue,
-            &["depth", "cap", "rejected", "spec_depth", "spec_cap"],
-            &qctx,
-        )?;
-    } else {
-        no_extra_fields(queue, &["depth", "cap", "rejected"], &qctx)?;
+        spec_conserves(at(v, "spec"), &format!("{ctx} spec"))?;
+        let hit = u64_at(v, "spec.hit");
+        ensure!(
+            spec_hits <= hit,
+            "{ctx} spec: cache.spec_hits {spec_hits} exceeds spec.hit {hit}"
+        );
     }
-
-    let jobs = v
-        .get("jobs")
-        .ok_or_else(|| format!("{ctx}: missing \"jobs\""))?;
-    let jctx = format!("{ctx} jobs");
-    let submitted = require_u64(jobs, "submitted", &jctx)?;
-    let deduped = require_u64(jobs, "deduped", &jctx)?;
-    let completed = require_u64(jobs, "completed", &jctx)?;
-    let failed = require_u64(jobs, "failed", &jctx)?;
-    if deduped > submitted {
-        return Err(format!(
-            "{jctx}: deduped {deduped} exceeds submitted {submitted}"
-        ));
-    }
-    if completed + failed > submitted {
-        return Err(format!(
-            "{jctx}: completed {completed} + failed {failed} exceeds submitted {submitted}"
-        ));
-    }
-    no_extra_fields(
-        jobs,
-        &["submitted", "deduped", "completed", "failed"],
-        &jctx,
-    )?;
-
-    let cache = v
-        .get("cache")
-        .ok_or_else(|| format!("{ctx}: missing \"cache\""))?;
-    let cctx = format!("{ctx} cache");
-    let cold = require_u64(cache, "cold", &cctx)?;
-    let disk = require_u64(cache, "disk_hits", &cctx)?;
-    let mem = require_u64(cache, "mem_hits", &cctx)?;
-    let spec_hits = if v2 {
-        let sh = require_u64(cache, "spec_hits", &cctx)?;
-        no_extra_fields(
-            cache,
-            &["cold", "disk_hits", "mem_hits", "spec_hits"],
-            &cctx,
-        )?;
-        sh
-    } else {
-        no_extra_fields(cache, &["cold", "disk_hits", "mem_hits"], &cctx)?;
-        0
-    };
-    if cold + disk + mem + spec_hits != completed {
-        return Err(format!(
-            "{cctx}: cold {cold} + disk {disk} + mem {mem} + spec {spec_hits} \
-             != completed {completed}"
-        ));
-    }
-
-    if v2 {
-        let sp = v
-            .get("spec")
-            .ok_or_else(|| format!("{ctx}: missing \"spec\""))?;
-        let sctx = format!("{ctx} spec");
-        let started = require_u64(sp, "started", &sctx)?;
-        let hit = require_u64(sp, "hit", &sctx)?;
-        require_u64(sp, "miss", &sctx)?;
-        let waste = require_u64(sp, "waste", &sctx)?;
-        let cancelled = require_u64(sp, "cancelled", &sctx)?;
-        let pending = require_u64(sp, "pending", &sctx)?;
-        if hit + waste + cancelled + pending != started {
-            return Err(format!(
-                "{sctx}: hit {hit} + waste {waste} + cancelled {cancelled} \
-                 + pending {pending} != started {started}"
-            ));
-        }
-        if spec_hits > hit {
-            return Err(format!(
-                "{sctx}: cache.spec_hits {spec_hits} exceeds spec.hit {hit}"
-            ));
-        }
-        no_extra_fields(
-            sp,
-            &["started", "hit", "miss", "waste", "cancelled", "pending"],
-            &sctx,
-        )?;
-    }
-
-    let tp = v
-        .get("throughput")
-        .ok_or_else(|| format!("{ctx}: missing \"throughput\""))?;
-    let tctx = format!("{ctx} throughput");
-    require_f64(tp, "jobs_per_sec", &tctx)?;
-    let util = require_f64(tp, "utilization", &tctx)?;
-    if !(0.0..=1.0).contains(&util) {
-        return Err(format!("{tctx}: utilization {util} out of [0,1]"));
-    }
-    no_extra_fields(tp, &["jobs_per_sec", "utilization"], &tctx)?;
+    let util = f64_at(v, "throughput.utilization");
+    ensure!(
+        (0.0..=1.0).contains(&util),
+        "{ctx} throughput: utilization {util} out of [0,1]"
+    );
     Ok(())
 }
 
@@ -1270,482 +1073,232 @@ pub struct RouterStatsReport {
     pub completed: u64,
 }
 
+const BACKEND_STATES: &[&str] = &["healthy", "draining", "dead"];
+
+/// The cluster's cache split; unlike a backend's, it always carries
+/// `spec_hits` (zero when no backend speculates).
+const CLUSTER_CACHE: Table = &[
+    ("cold", U64),
+    ("disk_hits", U64),
+    ("mem_hits", U64),
+    ("spec_hits", U64),
+];
+
+/// A backend's `stats` is absent when it was unreachable at scrape time.
+const ROUTER_STATS: Table = &[
+    ("schema", OneOf(&["wec-router-stats-v1"])),
+    ("uptime_ms", U64),
+    ("draining", Bool),
+    (
+        "router",
+        Obj(&[
+            ("requests", U64),
+            ("proxied", U64),
+            ("retries", U64),
+            ("resharded", U64),
+            ("rejected", U64),
+        ]),
+    ),
+    (
+        "backends",
+        Arr(&Obj(&[
+            ("id", Name),
+            ("addr", Str),
+            ("state", OneOf(BACKEND_STATES)),
+            ("consecutive_failures", U64),
+            ("routed", U64),
+            ("stats", Opt(&Obj(SERVE_STATS))),
+        ])),
+    ),
+    (
+        "cluster",
+        Obj(&[
+            (
+                "backends",
+                Obj(&[("healthy", U64), ("draining", U64), ("dead", U64)]),
+            ),
+            ("jobs", Obj(JOB_COUNTS)),
+            ("cache", Obj(CLUSTER_CACHE)),
+            ("spec", Opt(&Obj(SPEC_LEDGER))),
+            ("throughput", Obj(&[("jobs_per_sec", F64)])),
+        ]),
+    ),
+];
+
 /// Validate a `wec-router-stats-v1` document (the `wec_router` `GET
 /// /stats` payload and its drain-time `router.json`).
 pub fn validate_router_stats_json(text: &str) -> Result<RouterStatsReport, String> {
-    let v = json::parse(text).map_err(|e| format!("router.json: {e}"))?;
+    let v = parse_doc(text, "router.json")?;
     validate_router_stats(&v, "router.json")
 }
 
-/// Validate an already-parsed `wec-router-stats-v1` value.  The document
-/// embeds one serve-stats document per live-scraped backend plus a
-/// `cluster` roll-up, and the roll-up must *conserve*: every cluster
-/// counter equals the sum of the corresponding counters across the
-/// embedded backend ledgers (each of which is itself validated, so
-/// `cold + disk + mem (+ spec_hits) == completed` holds per backend and —
-/// re-checked here — cluster-wide), and the cluster `spec` block, present
-/// iff any backend speculates, obeys `hit + waste + cancelled + pending
-/// == started` in aggregate.
+/// Validate an already-parsed `wec-router-stats-v1` value.  Each embedded
+/// backend document is a valid serve-stats document, and the `cluster`
+/// roll-up *conserves*: its backend counts match the `backends` array,
+/// every counter equals the sum over the scraped backend ledgers, the
+/// summed source split covers every completed job exactly once, and the
+/// `spec` block, present iff some backend speculates, conserves too.
 pub fn validate_router_stats(v: &Json, ctx: &str) -> Result<RouterStatsReport, String> {
-    let schema = require_str(v, "schema", ctx)?;
-    if schema != "wec-router-stats-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
-    }
-    require_u64(v, "uptime_ms", ctx)?;
-    v.get("draining")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{ctx}: missing/invalid \"draining\""))?;
-    no_extra_fields(
-        v,
-        &[
-            "schema",
-            "uptime_ms",
-            "draining",
-            "router",
-            "backends",
-            "cluster",
-        ],
-        ctx,
-    )?;
-
-    let router = v
-        .get("router")
-        .ok_or_else(|| format!("{ctx}: missing \"router\""))?;
-    let rctx = format!("{ctx} router");
-    require_u64(router, "requests", &rctx)?;
-    require_u64(router, "proxied", &rctx)?;
-    require_u64(router, "retries", &rctx)?;
-    require_u64(router, "resharded", &rctx)?;
-    require_u64(router, "rejected", &rctx)?;
-    no_extra_fields(
-        router,
-        &["requests", "proxied", "retries", "resharded", "rejected"],
-        &rctx,
-    )?;
-
-    let Some(Json::Arr(backends)) = v.get("backends") else {
-        return Err(format!("{ctx}: missing/invalid \"backends\" array"));
-    };
-    if backends.is_empty() {
-        return Err(format!("{ctx}: \"backends\" is empty"));
-    }
-    // Sum the embedded backend ledgers; the cluster block must match.
-    let (mut healthy, mut draining_n, mut dead) = (0u64, 0u64, 0u64);
-    let mut scraped = 0u64;
-    let mut any_spec = false;
-    let mut sums = std::collections::HashMap::<&str, u64>::new();
-    for (i, b) in backends.iter().enumerate() {
-        let bctx = format!("{ctx} backends[{i}]");
-        let id = require_str(b, "id", &bctx)?;
-        if id.is_empty() {
-            return Err(format!("{bctx}: \"id\" must be non-empty"));
-        }
-        require_str(b, "addr", &bctx)?;
-        match require_str(b, "state", &bctx)? {
-            "healthy" => healthy += 1,
-            "draining" => draining_n += 1,
-            "dead" => dead += 1,
-            other => return Err(format!("{bctx}: unknown state {other:?}")),
-        }
-        require_u64(b, "consecutive_failures", &bctx)?;
-        require_u64(b, "routed", &bctx)?;
-        no_extra_fields(
-            b,
-            &[
-                "id",
-                "addr",
-                "state",
-                "consecutive_failures",
-                "routed",
-                "stats",
-            ],
-            &bctx,
-        )?;
-        let Some(stats) = b.get("stats") else {
-            continue; // unreachable at scrape time; not in the roll-up
-        };
-        validate_serve_stats(stats, &format!("{bctx} stats"))?;
-        scraped += 1;
-        let jobs = stats.get("jobs").expect("validated above");
-        let cache = stats.get("cache").expect("validated above");
-        for (block, key) in [
-            (jobs, "submitted"),
-            (jobs, "deduped"),
-            (jobs, "completed"),
-            (jobs, "failed"),
-            (cache, "cold"),
-            (cache, "disk_hits"),
-            (cache, "mem_hits"),
-        ] {
-            *sums.entry(key).or_default() += block.get(key).and_then(Json::as_u64).unwrap_or(0);
-        }
-        // v1 backends contribute zero speculative hits.
-        *sums.entry("spec_hits").or_default() +=
-            cache.get("spec_hits").and_then(Json::as_u64).unwrap_or(0);
-        if let Some(sp) = stats.get("spec") {
-            any_spec = true;
-            for key in ["started", "hit", "miss", "waste", "cancelled", "pending"] {
-                *sums.entry(key).or_default() += sp.get(key).and_then(Json::as_u64).unwrap_or(0);
-            }
-        }
-    }
-
-    let cluster = v
-        .get("cluster")
-        .ok_or_else(|| format!("{ctx}: missing \"cluster\""))?;
+    check(v, &[ROUTER_STATS], ctx)?;
     let cl = format!("{ctx} cluster");
-    let allowed: &[&str] = if any_spec {
-        &["backends", "jobs", "cache", "spec", "throughput"]
-    } else {
-        &["backends", "jobs", "cache", "throughput"]
-    };
-    no_extra_fields(cluster, allowed, &cl)?;
-    let cb = cluster
-        .get("backends")
-        .ok_or_else(|| format!("{cl}: missing \"backends\""))?;
-    let cbctx = format!("{cl} backends");
-    for (key, want) in [
-        ("healthy", healthy),
-        ("draining", draining_n),
-        ("dead", dead),
-    ] {
-        let got = require_u64(cb, key, &cbctx)?;
-        if got != want {
-            return Err(format!(
-                "{cbctx}: {key} {got} but the backends array counts {want}"
-            ));
+    let backends = arr_at(v, "backends");
+    ensure!(!backends.is_empty(), "{ctx}: \"backends\" is empty");
+    let mut scraped = Vec::new();
+    for (i, b) in backends.iter().enumerate() {
+        if let Some(stats) = b.get("stats") {
+            validate_serve_stats(stats, &format!("{ctx} backends[{i}] stats"))?;
+            scraped.push(stats);
         }
     }
-    no_extra_fields(cb, &["healthy", "draining", "dead"], &cbctx)?;
-
-    let jobs = cluster
-        .get("jobs")
-        .ok_or_else(|| format!("{cl}: missing \"jobs\""))?;
-    let jctx = format!("{cl} jobs");
-    for key in ["submitted", "deduped", "completed", "failed"] {
-        let got = require_u64(jobs, key, &jctx)?;
-        let want = sums.get(key).copied().unwrap_or(0);
-        if got != want {
-            return Err(format!(
-                "{jctx}: {key} {got} != sum of backend ledgers {want}"
-            ));
-        }
-    }
-    no_extra_fields(
-        jobs,
-        &["submitted", "deduped", "completed", "failed"],
-        &jctx,
-    )?;
-
-    let cache = cluster
-        .get("cache")
-        .ok_or_else(|| format!("{cl}: missing \"cache\""))?;
-    let cctx = format!("{cl} cache");
-    for key in ["cold", "disk_hits", "mem_hits", "spec_hits"] {
-        let got = require_u64(cache, key, &cctx)?;
-        let want = sums.get(key).copied().unwrap_or(0);
-        if got != want {
-            return Err(format!(
-                "{cctx}: {key} {got} != sum of backend ledgers {want}"
-            ));
-        }
-    }
-    no_extra_fields(
-        cache,
-        &["cold", "disk_hits", "mem_hits", "spec_hits"],
-        &cctx,
-    )?;
-    // The cluster-level form of the serve ledger invariant: the summed
-    // source split covers every completed job exactly once.
-    let completed = require_u64(jobs, "completed", &jctx)?;
-    let split = ["cold", "disk_hits", "mem_hits", "spec_hits"]
-        .iter()
-        .map(|k| sums.get(*k).copied().unwrap_or(0))
-        .sum::<u64>();
-    if split != completed {
-        return Err(format!(
-            "{cl}: cache sources sum to {split} but completed is {completed}"
-        ));
-    }
-
-    if any_spec {
-        let sp = cluster
-            .get("spec")
-            .ok_or_else(|| format!("{cl}: speculating backends but no \"spec\" block"))?;
-        let sctx = format!("{cl} spec");
-        for key in ["started", "hit", "miss", "waste", "cancelled", "pending"] {
-            let got = require_u64(sp, key, &sctx)?;
-            let want = sums.get(key).copied().unwrap_or(0);
-            if got != want {
-                return Err(format!(
-                    "{sctx}: {key} {got} != sum of backend ledgers {want}"
-                ));
-            }
-        }
-        let (started, hit, waste, cancelled, pending) = (
-            require_u64(sp, "started", &sctx)?,
-            require_u64(sp, "hit", &sctx)?,
-            require_u64(sp, "waste", &sctx)?,
-            require_u64(sp, "cancelled", &sctx)?,
-            require_u64(sp, "pending", &sctx)?,
+    for &state in BACKEND_STATES {
+        let want = backends
+            .iter()
+            .filter(|b| str_at(b, "state") == state)
+            .count() as u64;
+        let got = u64_at(v, &format!("cluster.backends.{state}"));
+        ensure!(
+            got == want,
+            "{cl} backends: {state} {got} but the backends array counts {want}"
         );
-        if hit + waste + cancelled + pending != started {
-            return Err(format!(
-                "{sctx}: hit {hit} + waste {waste} + cancelled {cancelled} \
-                 + pending {pending} != started {started}"
-            ));
-        }
-        no_extra_fields(
-            sp,
-            &["started", "hit", "miss", "waste", "cancelled", "pending"],
-            &sctx,
-        )?;
-    } else if cluster.get("spec").is_some() {
-        return Err(format!(
-            "{cl}: \"spec\" block without any speculating backend"
-        ));
     }
-
-    let tp = cluster
-        .get("throughput")
-        .ok_or_else(|| format!("{cl}: missing \"throughput\""))?;
-    let tctx = format!("{cl} throughput");
-    require_f64(tp, "jobs_per_sec", &tctx)?;
-    no_extra_fields(tp, &["jobs_per_sec"], &tctx)?;
-
+    let any_spec = scraped.iter().any(|st| st.get("spec").is_some());
+    ensure!(
+        at(v, "cluster.spec").is_object() == any_spec,
+        "{cl}: a \"spec\" block exactly when some backend speculates"
+    );
+    for (block, table) in [
+        ("jobs", JOB_COUNTS),
+        ("cache", CLUSTER_CACHE),
+        ("spec", SPEC_LEDGER),
+    ] {
+        for (key, _) in table {
+            let path = format!("{block}.{key}");
+            let want: u128 = scraped.iter().map(|st| u128::from(u64_at(st, &path))).sum();
+            let got = u64_at(v, &format!("cluster.{path}"));
+            ensure!(
+                u128::from(got) == want,
+                "{cl} {block}: {key} {got} != sum of backend ledgers {want}"
+            );
+        }
+    }
+    let completed = u64_at(v, "cluster.jobs.completed");
+    let split: u128 = CLUSTER_CACHE
+        .iter()
+        .map(|(k, _)| u128::from(u64_at(v, &format!("cluster.cache.{k}"))))
+        .sum();
+    ensure!(
+        split == u128::from(completed),
+        "{cl}: cache sources sum to {split} but completed is {completed}"
+    );
+    if any_spec {
+        spec_conserves(at(v, "cluster.spec"), &format!("{cl} spec"))?;
+    }
     Ok(RouterStatsReport {
         backends: backends.len() as u64,
-        scraped,
+        scraped: scraped.len() as u64,
         completed,
     })
 }
 
+/// `method` and `path` are `"-"` on lines for requests that did not parse.
+const ACCESS_LINE: Table = &[
+    ("t_ms", U64),
+    ("method", Name),
+    ("path", Name),
+    ("status", U64),
+    ("dur_us", U64),
+    ("bytes", U64),
+];
+
 /// Validate an `access.jsonl` stream (`wec-access-log-v1`): one line per
-/// answered HTTP request.  Timestamps are *not* required monotonic —
-/// concurrent connections finish out of order.  Parse-failure lines are
-/// logged with method `"-"`, path `"-"`, status 400, so those pass too.
+/// answered HTTP request, each status an HTTP status.  Timestamps are
+/// *not* required monotonic — concurrent connections finish out of order.
 /// Returns the request count.
 pub fn validate_access_jsonl(text: &str) -> Result<u64, String> {
     let mut total = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let ctx = format!("access.jsonl line {}", lineno + 1);
-        if line.trim().is_empty() {
-            return Err(format!("{ctx}: blank line"));
-        }
-        let v = json::parse(line).map_err(|e| format!("{ctx}: {e}"))?;
-        require_u64(&v, "t_ms", &ctx)?;
-        let method = require_str(&v, "method", &ctx)?;
-        if method.is_empty() {
-            return Err(format!("{ctx}: empty method"));
-        }
-        let path = require_str(&v, "path", &ctx)?;
-        if path.is_empty() {
-            return Err(format!("{ctx}: empty path"));
-        }
-        let status = require_u64(&v, "status", &ctx)?;
-        if !(100..=599).contains(&status) {
-            return Err(format!("{ctx}: status {status} out of 100..=599"));
-        }
-        require_u64(&v, "dur_us", &ctx)?;
-        require_u64(&v, "bytes", &ctx)?;
-        no_extra_fields(
-            &v,
-            &["t_ms", "method", "path", "status", "dur_us", "bytes"],
-            &ctx,
-        )?;
+    each_line(text, "access.jsonl", |v, ctx| {
+        check(v, &[ACCESS_LINE], ctx)?;
+        let status = u64_at(v, "status");
+        ensure!(
+            (100..=599).contains(&status),
+            "{ctx}: status {status} out of 100..=599"
+        );
         total += 1;
-    }
+        Ok(())
+    })?;
     Ok(total)
 }
 
-/// Validate a `wec-dashboard-data-v1` document (the `GET /dashboard/data`
-/// payload): the embedded stats snapshot, the sampler ring (t_ms
-/// non-decreasing, rates finite, dedup rate a fraction), the per-endpoint
-/// latency digests (bucket counts sum to the digest count), and the slim
-/// recent-job rows.  Returns the number of ring samples.
+/// `sim_cycles` is cumulative: `/stats` does not carry it, and the page's
+/// kcycles/s series is its difference between two polls.
+const DASHBOARD: Table = &[
+    ("schema", OneOf(&["wec-dashboard-data-v2"])),
+    ("now_ms", U64),
+    ("sim_cycles", U64),
+    ("stats", Obj(SERVE_STATS)),
+    (
+        "http",
+        Arr(&Obj(&[
+            ("endpoint", Name),
+            ("count", U64),
+            ("mean_us", F64),
+            ("p50_us", U64),
+            ("p99_us", U64),
+            ("max_us", U64),
+            ("buckets", Arr(&Arr(&U64))),
+        ])),
+    ),
+    (
+        "jobs",
+        Arr(&Obj(&[
+            ("id", U64),
+            ("kind", OneOf(JOB_KINDS)),
+            ("bench", Str),
+            ("cfg", Str),
+            ("state", OneOf(JOB_STATES)),
+            ("source", OneOf(JOB_SOURCES)),
+            ("submissions", U64),
+            ("worker", U64),
+            ("dur_ms", U64),
+            ("sim_cycles", U64),
+            ("has_attr", Bool),
+            ("speculative", Opt(&True)),
+        ])),
+    ),
+];
+
+/// Validate a `wec-dashboard-data-v2` document (the `GET /dashboard/data`
+/// payload): the embedded stats snapshot, the per-endpoint latency digests
+/// (bucket counts sum to the digest count, p50 ≤ p99 ≤ max), and the slim
+/// recent-job rows (the job record's state and source rules).  Returns the
+/// number of job rows.
 pub fn validate_dashboard_data_json(text: &str) -> Result<usize, String> {
-    let v = json::parse(text).map_err(|e| format!("dashboard.json: {e}"))?;
     let ctx = "dashboard.json";
-    let schema = require_str(&v, "schema", ctx)?;
-    if schema != "wec-dashboard-data-v1" {
-        return Err(format!("{ctx}: unknown schema {schema:?}"));
+    let v = parse_doc(text, ctx)?;
+    check(&v, &[DASHBOARD], ctx)?;
+    validate_serve_stats(at(&v, "stats"), &format!("{ctx} stats"))?;
+    for (i, h) in arr_at(&v, "http").iter().enumerate() {
+        let hctx = format!("{ctx} http[{i}]");
+        let [p50, p99, max] = ["p50_us", "p99_us", "max_us"].map(|k| u64_at(h, k));
+        ensure!(
+            p50 <= p99 && p99 <= max,
+            "{hctx}: quantiles out of order (p50 {p50}, p99 {p99}, max {max})"
+        );
+        buckets_sum_to_count(h, &hctx)?;
     }
-    require_u64(&v, "now_ms", ctx)?;
-    no_extra_fields(
-        &v,
-        &["schema", "now_ms", "stats", "samples", "http", "jobs"],
-        ctx,
-    )?;
-
-    let stats = v
-        .get("stats")
-        .ok_or_else(|| format!("{ctx}: missing \"stats\""))?;
-    validate_serve_stats(stats, "dashboard.json stats")?;
-
-    let samples = v
-        .get("samples")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"samples\" array"))?;
-    let mut last_t = 0u64;
-    for (i, s) in samples.iter().enumerate() {
-        let sctx = format!("dashboard.json samples[{i}]");
-        let t = require_u64(s, "t_ms", &sctx)?;
-        if t < last_t {
-            return Err(format!("{sctx}: t_ms {t} went backwards from {last_t}"));
-        }
-        last_t = t;
-        require_u64(s, "queue_depth", &sctx)?;
-        require_u64(s, "busy_workers", &sctx)?;
-        require_u64(s, "outstanding", &sctx)?;
-        for key in ["jobs_per_sec", "kcycles_per_sec"] {
-            let r = require_f64(s, key, &sctx)?;
-            if !r.is_finite() || r < 0.0 {
-                return Err(format!("{sctx}: {key} {r} is not a finite rate"));
-            }
-        }
-        let dedup = require_f64(s, "dedup_hit_rate", &sctx)?;
-        if !(0.0..=1.0).contains(&dedup) {
-            return Err(format!("{sctx}: dedup_hit_rate {dedup} out of [0,1]"));
-        }
-        // Present only when the sampled server runs with --speculate.
-        if let Some(shr) = s.get("spec_hit_rate") {
-            let shr = shr
-                .as_f64()
-                .ok_or_else(|| format!("{sctx}: spec_hit_rate is not a number"))?;
-            if !(0.0..=1.0).contains(&shr) {
-                return Err(format!("{sctx}: spec_hit_rate {shr} out of [0,1]"));
-            }
-        }
-        no_extra_fields(
-            s,
-            &[
-                "t_ms",
-                "queue_depth",
-                "busy_workers",
-                "outstanding",
-                "jobs_per_sec",
-                "dedup_hit_rate",
-                "kcycles_per_sec",
-                "spec_hit_rate",
-            ],
-            &sctx,
-        )?;
-    }
-
-    let http = v
-        .get("http")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"http\" array"))?;
-    for (i, h) in http.iter().enumerate() {
-        let hctx = format!("dashboard.json http[{i}]");
-        let endpoint = require_str(h, "endpoint", &hctx)?;
-        if endpoint.is_empty() {
-            return Err(format!("{hctx}: empty endpoint"));
-        }
-        let count = require_u64(h, "count", &hctx)?;
-        require_f64(h, "mean_us", &hctx)?;
-        let p50 = require_u64(h, "p50_us", &hctx)?;
-        let p99 = require_u64(h, "p99_us", &hctx)?;
-        let max = require_u64(h, "max_us", &hctx)?;
-        if p50 > p99 || p99 > max {
-            return Err(format!(
-                "{hctx}: quantiles out of order (p50 {p50}, p99 {p99}, max {max})"
-            ));
-        }
-        let buckets = h
-            .get("buckets")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{hctx}: missing \"buckets\" array"))?;
-        let mut total = 0u64;
-        for b in buckets {
-            let pair = b
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| format!("{hctx}: bucket not a pair"))?;
-            total += pair[1]
-                .as_u64()
-                .ok_or_else(|| format!("{hctx}: non-integer bucket count"))?;
-        }
-        if total != count {
-            return Err(format!(
-                "{hctx}: buckets sum to {total}, count says {count}"
-            ));
-        }
-        no_extra_fields(
-            h,
-            &[
-                "endpoint", "count", "mean_us", "p50_us", "p99_us", "max_us", "buckets",
-            ],
-            &hctx,
-        )?;
-    }
-
-    let jobs = v
-        .get("jobs")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("{ctx}: missing \"jobs\" array"))?;
+    let jobs = arr_at(&v, "jobs");
     for (i, j) in jobs.iter().enumerate() {
-        let jctx = format!("dashboard.json jobs[{i}]");
-        require_u64(j, "id", &jctx)?;
-        let kind = require_str(j, "kind", &jctx)?;
-        if !["sim", "replay"].contains(&kind) {
-            return Err(format!("{jctx}: unknown kind {kind:?}"));
-        }
-        require_str(j, "bench", &jctx)?;
-        require_str(j, "cfg", &jctx)?;
-        let state = require_str(j, "state", &jctx)?;
-        if !["queued", "running", "done", "failed", "cancelled"].contains(&state) {
-            return Err(format!("{jctx}: unknown state {state:?}"));
-        }
-        let source = require_str(j, "source", &jctx)?;
-        if !["none", "cold", "disk", "mem", "spec"].contains(&source) {
-            return Err(format!("{jctx}: unknown source {source:?}"));
-        }
-        let speculative = match j.get("speculative") {
-            None => false,
-            Some(Json::Bool(true)) => true,
-            Some(_) => return Err(format!("{jctx}: \"speculative\" must be true when present")),
-        };
-        let submissions = require_u64(j, "submissions", &jctx)?;
-        if submissions == 0 && !speculative {
-            return Err(format!("{jctx}: submissions must be >= 1"));
-        }
-        require_u64(j, "worker", &jctx)?;
-        require_u64(j, "dur_ms", &jctx)?;
-        require_u64(j, "sim_cycles", &jctx)?;
-        j.get("has_attr")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| format!("{jctx}: missing boolean \"has_attr\""))?;
-        no_extra_fields(
-            j,
-            &[
-                "id",
-                "kind",
-                "bench",
-                "cfg",
-                "state",
-                "source",
-                "submissions",
-                "worker",
-                "dur_ms",
-                "sim_cycles",
-                "has_attr",
-                "speculative",
-            ],
-            &jctx,
-        )?;
+        job_rules(j, &format!("{ctx} jobs[{i}]"))?;
     }
-    Ok(samples.len())
+    Ok(jobs.len())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::{AttrProbe, AttributionReport, FillOrigin};
     use crate::event::TraceEvent;
 
-    #[test]
-    fn emitted_attribution_satisfies_its_own_schema() {
+    fn attribution_report() -> AttributionReport {
         let mut p = AttrProbe::new(8, 64);
         p.note_pc(0x40);
         p.on_l1_demand(0x1000, false);
@@ -1754,8 +1307,12 @@ mod tests {
         p.on_side_fill(0x1040, 90, FillOrigin::Prefetch);
         p.on_side_fill(0x2000, 95, FillOrigin::Victim);
         p.on_side_evict(0x1040);
-        let report = AttributionReport::from_probes([&p]);
-        let check = validate_attribution_json(&report.to_json()).unwrap();
+        AttributionReport::from_probes([&p])
+    }
+
+    #[test]
+    fn emitted_attribution_satisfies_its_own_schema() {
+        let check = validate_attribution_json(&attribution_report().to_json()).unwrap();
         assert_eq!(check.n_tus, 1);
         assert_eq!(check.wec_fills, 3);
         assert_eq!(check.useful, 1);
@@ -1905,11 +1462,18 @@ mod tests {
 
     #[test]
     fn histograms_validation() {
-        let good = "{\"load_to_fill\":{\"count\":3,\"sum\":111,\"min\":5,\"max\":100,\"buckets\":[[4,2],[64,1]]}}";
+        let mut h = crate::hist::Log2Histogram::new();
+        for v in [5, 6, 100] {
+            h.observe(v);
+        }
+        let good = format!("{{\"load_to_fill\":{}}}", h.to_json());
         assert_eq!(
-            validate_histograms_json(good).unwrap(),
+            validate_histograms_json(&good).unwrap(),
             vec!["load_to_fill"]
         );
+        // Exactly the rendered fields.
+        assert!(validate_histograms_json(&good.replace("\"min\":5,", "")).is_err());
+        assert!(validate_histograms_json(&good.replace("\"min\"", "\"mean\"")).is_err());
         let bad =
             "{\"h\":{\"count\":4,\"sum\":111,\"min\":5,\"max\":100,\"buckets\":[[4,2],[64,1]]}}";
         assert!(validate_histograms_json(bad).is_err());
@@ -1961,9 +1525,8 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn run_manifest_validation() {
-        let m = crate::report::RunManifest {
+    fn run_manifest() -> crate::report::RunManifest {
+        crate::report::RunManifest {
             scale: 1,
             host: "h".into(),
             sim_revision: 1,
@@ -1981,7 +1544,12 @@ mod tests {
             }],
             tables: vec!["fig17".into()],
             metrics: vec![("181.mcf|orig/t8".into(), vec![("cycles".into(), 5)])],
-        };
+        }
+    }
+
+    #[test]
+    fn run_manifest_validation() {
+        let m = run_manifest();
         assert_eq!(validate_run_json(&m.to_json()).unwrap(), 1);
 
         assert!(validate_run_json("{\"schema\":\"nope\"}").is_err());
@@ -1993,14 +1561,18 @@ mod tests {
         assert!(validate_run_json(&broken).is_err());
     }
 
-    #[test]
-    fn profile_validation() {
+    fn profile_report() -> String {
         let mut p = crate::profile::CycleProfiler::new(64);
         let laps = crate::profile::PhaseNs {
             ns: [10, 20, 30, 40, 50, 60],
         };
         p.record(0, &laps);
-        let text = p.report(64).to_json();
+        p.report(64).to_json()
+    }
+
+    #[test]
+    fn profile_validation() {
+        let text = profile_report();
         let names = validate_profile_json(&text).unwrap();
         assert_eq!(names.len(), crate::profile::PHASE_COUNT);
 
@@ -2110,12 +1682,7 @@ mod tests {
 
     #[test]
     fn serve_stats_validation() {
-        let good = "{\"schema\":\"wec-serve-stats-v1\",\"uptime_ms\":1000,\"workers\":4,\
-                    \"busy_workers\":1,\"draining\":false,\
-                    \"queue\":{\"depth\":2,\"cap\":64,\"rejected\":1},\
-                    \"jobs\":{\"submitted\":10,\"deduped\":3,\"completed\":5,\"failed\":1},\
-                    \"cache\":{\"cold\":3,\"disk_hits\":1,\"mem_hits\":1},\
-                    \"throughput\":{\"jobs_per_sec\":5.0,\"utilization\":0.25}}";
+        let good = STATS_V1;
         validate_serve_stats_json(good).unwrap();
 
         assert!(validate_serve_stats_json("{\"schema\":\"nope\"}").is_err());
@@ -2134,17 +1701,27 @@ mod tests {
         // More terminal jobs than submissions.
         let bad = good.replace("\"submitted\":10", "\"submitted\":5");
         assert!(validate_serve_stats_json(&bad).is_err());
+        // Sums are exact: 2^63 + 2^63 cold and disk answers are not zero
+        // completions, even though they wrap a u64 to zero.
+        let wrap = good
+            .replace("\"completed\":5", "\"completed\":0")
+            .replace("\"cold\":3", "\"cold\":9223372036854775808")
+            .replace("\"disk_hits\":1", "\"disk_hits\":9223372036854775808")
+            .replace("\"mem_hits\":1", "\"mem_hits\":0");
+        assert!(validate_serve_stats_json(&wrap).is_err());
     }
 
-    #[test]
-    fn serve_stats_v2_validation() {
-        let good = "{\"schema\":\"wec-serve-stats-v2\",\"uptime_ms\":1000,\"workers\":4,\
+    const STATS_V2: &str = "{\"schema\":\"wec-serve-stats-v2\",\"uptime_ms\":1000,\"workers\":4,\
                     \"busy_workers\":1,\"draining\":false,\
                     \"queue\":{\"depth\":2,\"cap\":64,\"rejected\":1,\"spec_depth\":3,\"spec_cap\":16},\
                     \"jobs\":{\"submitted\":10,\"deduped\":3,\"completed\":5,\"failed\":1},\
                     \"cache\":{\"cold\":2,\"disk_hits\":1,\"mem_hits\":1,\"spec_hits\":1},\
                     \"spec\":{\"started\":7,\"hit\":2,\"miss\":2,\"waste\":1,\"cancelled\":1,\"pending\":3},\
                     \"throughput\":{\"jobs_per_sec\":5.0,\"utilization\":0.25}}";
+
+    #[test]
+    fn serve_stats_v2_validation() {
+        let good = STATS_V2;
         validate_serve_stats_json(good).unwrap();
 
         // v1 documents must not carry any of the v2 fields.
@@ -2172,6 +1749,57 @@ mod tests {
         assert!(validate_serve_stats_json(&bad).is_err());
     }
 
+    /// One speculating backend behind a router, and the roll-up of it.
+    fn router_doc() -> String {
+        format!(
+            "{{\"schema\":\"wec-router-stats-v1\",\"uptime_ms\":1000,\"draining\":false,\
+             \"router\":{{\"requests\":12,\"proxied\":10,\"retries\":0,\"resharded\":0,\"rejected\":0}},\
+             \"backends\":[{{\"id\":\"b0\",\"addr\":\"127.0.0.1:1\",\"state\":\"healthy\",\
+             \"consecutive_failures\":0,\"routed\":10,\"stats\":{STATS_V2}}},\
+             {{\"id\":\"b1\",\"addr\":\"127.0.0.1:2\",\"state\":\"dead\",\
+             \"consecutive_failures\":3,\"routed\":0}}],\
+             \"cluster\":{{\"backends\":{{\"healthy\":1,\"draining\":0,\"dead\":1}},\
+             \"jobs\":{{\"submitted\":10,\"deduped\":3,\"completed\":5,\"failed\":1}},\
+             \"cache\":{{\"cold\":2,\"disk_hits\":1,\"mem_hits\":1,\"spec_hits\":1}},\
+             \"spec\":{{\"started\":7,\"hit\":2,\"miss\":2,\"waste\":1,\"cancelled\":1,\"pending\":3}},\
+             \"throughput\":{{\"jobs_per_sec\":5.0}}}}}}"
+        )
+    }
+
+    #[test]
+    fn router_stats_validation() {
+        let good = router_doc();
+        let r = validate_router_stats_json(&good).unwrap();
+        assert_eq!(
+            r,
+            RouterStatsReport {
+                backends: 2,
+                scraped: 1,
+                completed: 5
+            }
+        );
+        // Cluster totals are the sums over the scraped backends, even
+        // where the cluster's own split still covers its completions.
+        let last = |doc: &str, from: &str, to: &str| {
+            let i = doc.rfind(from).unwrap();
+            format!("{}{to}{}", &doc[..i], &doc[i + from.len()..])
+        };
+        let bad = last(&good, "\"cold\":2", "\"cold\":3");
+        let bad = last(&bad, "\"completed\":5", "\"completed\":6");
+        let err = validate_router_stats_json(&bad).unwrap_err();
+        assert!(err.contains("sum of backend ledgers"), "{err}");
+        // The backend counts match the array.
+        let bad = good.replace("\"dead\":1", "\"dead\":0");
+        assert!(validate_router_stats_json(&bad).is_err());
+        // A spec block exactly when some backend speculates.
+        let (head, tail) = good.rsplit_once(",\"spec\":").unwrap();
+        let no_spec = format!("{head},{}", tail.split_once("},").unwrap().1);
+        assert!(validate_router_stats_json(&no_spec).is_err());
+        // Each backend's own ledger must hold.
+        let bad = good.replacen("\"cold\":2", "\"cold\":3", 1);
+        assert!(validate_router_stats_json(&bad).is_err());
+    }
+
     #[test]
     fn access_log_validation() {
         let good = "{\"t_ms\":120,\"method\":\"GET\",\"path\":\"/stats\",\"status\":200,\"dur_us\":85,\"bytes\":412}\n\
@@ -2190,39 +1818,41 @@ mod tests {
         assert!(validate_access_jsonl(&line.replace("\"GET\"", "\"\"")).is_err());
     }
 
-    #[test]
-    fn dashboard_data_validation() {
-        let stats = "{\"schema\":\"wec-serve-stats-v1\",\"uptime_ms\":1000,\"workers\":4,\
-                     \"busy_workers\":1,\"draining\":false,\
-                     \"queue\":{\"depth\":2,\"cap\":64,\"rejected\":1},\
-                     \"jobs\":{\"submitted\":10,\"deduped\":3,\"completed\":5,\"failed\":1},\
-                     \"cache\":{\"cold\":3,\"disk_hits\":1,\"mem_hits\":1},\
-                     \"throughput\":{\"jobs_per_sec\":5.0,\"utilization\":0.25}}";
-        let good = format!(
-            "{{\"schema\":\"wec-dashboard-data-v1\",\"now_ms\":1000,\"stats\":{stats},\
-             \"samples\":[{{\"t_ms\":500,\"queue_depth\":1,\"busy_workers\":1,\"outstanding\":2,\
-             \"jobs_per_sec\":2.5,\"dedup_hit_rate\":0.5,\"kcycles_per_sec\":100.0}},\
-             {{\"t_ms\":1000,\"queue_depth\":0,\"busy_workers\":0,\"outstanding\":0,\
-             \"jobs_per_sec\":0.0,\"dedup_hit_rate\":0.0,\"kcycles_per_sec\":0.0}}],\
+    const STATS_V1: &str = "{\"schema\":\"wec-serve-stats-v1\",\"uptime_ms\":1000,\"workers\":4,\
+                            \"busy_workers\":1,\"draining\":false,\
+                            \"queue\":{\"depth\":2,\"cap\":64,\"rejected\":1},\
+                            \"jobs\":{\"submitted\":10,\"deduped\":3,\"completed\":5,\"failed\":1},\
+                            \"cache\":{\"cold\":3,\"disk_hits\":1,\"mem_hits\":1},\
+                            \"throughput\":{\"jobs_per_sec\":5.0,\"utilization\":0.25}}";
+
+    fn dashboard_doc() -> String {
+        format!(
+            "{{\"schema\":\"wec-dashboard-data-v2\",\"now_ms\":1000,\"sim_cycles\":96000,\
+             \"stats\":{STATS_V1},\
              \"http\":[{{\"endpoint\":\"submit\",\"count\":3,\"mean_us\":80.5,\"p50_us\":63,\
              \"p99_us\":127,\"max_us\":130,\"buckets\":[[64,2],[128,1]]}}],\
              \"jobs\":[{{\"id\":1,\"kind\":\"sim\",\"bench\":\"181.mcf\",\"cfg\":\"orig/t8\",\
              \"state\":\"done\",\"source\":\"cold\",\"submissions\":2,\"worker\":0,\
              \"dur_ms\":30,\"sim_cycles\":48000,\"has_attr\":false}}]}}"
-        );
-        assert_eq!(validate_dashboard_data_json(&good).unwrap(), 2);
+        )
+    }
+
+    #[test]
+    fn dashboard_data_validation() {
+        let good = dashboard_doc();
+        assert_eq!(validate_dashboard_data_json(&good).unwrap(), 1);
 
         assert!(validate_dashboard_data_json("{\"schema\":\"nope\"}").is_err());
-        // Sampler time going backwards, dedup rate out of range, bucket
-        // counts not summing, quantile inversion, bad embedded stats, and
-        // an unknown slim-row state.
-        assert!(
-            validate_dashboard_data_json(&good.replace("\"t_ms\":1000", "\"t_ms\":400")).is_err()
-        );
-        assert!(validate_dashboard_data_json(
-            &good.replace("\"dedup_hit_rate\":0.5", "\"dedup_hit_rate\":1.5")
-        )
-        .is_err());
+        // Only v2: the cumulative cycle count is required, a samples
+        // array is undeclared.
+        let v1 = good.replace("wec-dashboard-data-v2", "wec-dashboard-data-v1");
+        assert!(validate_dashboard_data_json(&v1).is_err());
+        let no_cycles = good.replacen("\"sim_cycles\":96000,", "", 1);
+        assert!(validate_dashboard_data_json(&no_cycles).is_err());
+        let samples = good.replacen("\"http\"", "\"samples\":[],\"http\"", 1);
+        assert!(validate_dashboard_data_json(&samples).is_err());
+        // Bucket counts not summing, quantile inversion, bad embedded
+        // stats, and an unknown slim-row state.
         assert!(
             validate_dashboard_data_json(&good.replace("[[64,2],[128,1]]", "[[64,2]]")).is_err()
         );
@@ -2235,28 +1865,229 @@ mod tests {
             &good.replace("\"state\":\"done\"", "\"state\":\"paused\"")
         )
         .is_err());
-
-        // Speculation extensions: samples may carry spec_hit_rate (a
-        // fraction), job rows may be flagged speculative with source
-        // "spec" and zero submissions.
-        let spec_good = good
-            .replace(
-                "\"dedup_hit_rate\":0.5,",
-                "\"dedup_hit_rate\":0.5,\"spec_hit_rate\":0.25,",
-            )
-            .replace(
-                "\"source\":\"cold\",\"submissions\":2",
-                "\"source\":\"spec\",\"submissions\":0,\"speculative\":true",
-            );
-        assert_eq!(validate_dashboard_data_json(&spec_good).unwrap(), 2);
+        // Job rows follow the job record's rules: a done row names its
+        // source, and a cancelled row is speculative.
         assert!(validate_dashboard_data_json(
-            &spec_good.replace("\"spec_hit_rate\":0.25", "\"spec_hit_rate\":1.25")
+            &good.replace("\"source\":\"cold\"", "\"source\":\"none\"")
         )
         .is_err());
+        assert!(validate_dashboard_data_json(&good.replace(
+            "\"state\":\"done\",\"source\":\"cold\"",
+            "\"state\":\"cancelled\",\"source\":\"none\""
+        ))
+        .is_err());
+
+        // Speculation extensions: job rows may be flagged speculative with
+        // source "spec" and zero submissions.
+        let spec_good = good.replace(
+            "\"source\":\"cold\",\"submissions\":2",
+            "\"source\":\"spec\",\"submissions\":0,\"speculative\":true",
+        );
+        assert_eq!(validate_dashboard_data_json(&spec_good).unwrap(), 1);
         assert!(validate_dashboard_data_json(
             &spec_good.replace("\"speculative\":true", "\"speculative\":false")
         )
         .is_err());
+    }
+
+    /// `v` as JSON text.
+    fn text(v: &Json) -> String {
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            json::escape_into(&mut out, s);
+            out
+        };
+        match v {
+            Json::Null => "null".into(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(n) => n.to_string(),
+            Json::Str(s) => quoted(s),
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(text).collect();
+                format!("[{}]", items.join(","))
+            }
+            Json::Obj(fields) => {
+                let fields: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{}:{}", quoted(k), text(v)))
+                    .collect();
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    }
+
+    /// Every copy of object `v`, which `tables` describe, with one required
+    /// field deleted or one undeclared field added, at every depth the
+    /// tables reach.
+    fn mutants(v: &Json, tables: &[Table]) -> Vec<Json> {
+        let Json::Obj(fields) = v else {
+            return Vec::new();
+        };
+        let mut extra = fields.clone();
+        extra.push(("undeclared".into(), Json::Num(1.0)));
+        let mut out = vec![Json::Obj(extra)];
+        for (name, kind) in tables.iter().flat_map(|t| t.iter()) {
+            let Some(pos) = fields.iter().position(|(k, _)| k == name) else {
+                continue;
+            };
+            if !matches!(kind, Opt(_)) {
+                let mut fewer = fields.clone();
+                fewer.remove(pos);
+                out.push(Json::Obj(fewer));
+            }
+            for sub in nested_mutants(&fields[pos].1, kind) {
+                let mut m = fields.clone();
+                m[pos].1 = sub;
+                out.push(Json::Obj(m));
+            }
+        }
+        out
+    }
+
+    fn nested_mutants(v: &Json, kind: &FieldKind) -> Vec<Json> {
+        match (kind, v) {
+            (Opt(k), _) => nested_mutants(v, k),
+            (Obj(t), _) => mutants(v, &[t]),
+            (Arr(k), Json::Arr(items)) => (0..items.len())
+                .flat_map(|i| {
+                    nested_mutants(&items[i], k).into_iter().map(move |m| {
+                        let mut a = items.clone();
+                        a[i] = m;
+                        Json::Arr(a)
+                    })
+                })
+                .collect(),
+            (Map(k), Json::Obj(entries)) => (0..entries.len())
+                .flat_map(|i| {
+                    nested_mutants(&entries[i].1, k).into_iter().map(move |m| {
+                        let mut e = entries.clone();
+                        e[i].1 = m;
+                        Json::Obj(e)
+                    })
+                })
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_table_rejects_a_missing_or_an_undeclared_field() {
+        type Validate = fn(&str) -> Result<(), String>;
+        let mut cases: Vec<(Validate, String, Vec<Table>)> = Vec::new();
+        for &(name, fields) in EVENT_SCHEMA {
+            let mut doc = format!("{{\"cycle\":1,\"type\":\"{name}\"");
+            for (f, kind) in fields {
+                let value = match kind {
+                    Str => "\"x\"",
+                    Bool => "true",
+                    _ => "1",
+                };
+                doc.push_str(&format!(",\"{f}\":{value}"));
+            }
+            doc.push('}');
+            cases.push((
+                |t| validate_events_jsonl(t).map(drop),
+                doc,
+                vec![EVENT_HEADER, fields],
+            ));
+        }
+        fn finish() -> String {
+            crate::report::progress_finish_line(9, "181.mcf", "orig/t8", 0, "cold", 8, 1000)
+        }
+        cases.push((
+            |t| validate_progress_jsonl(&format!("{t}\n{}", finish())).map(drop),
+            crate::report::progress_start_line(1, "181.mcf", "orig/t8", 0),
+            vec![PROGRESS],
+        ));
+        cases.push((
+            |t| validate_progress_jsonl(t).map(drop),
+            finish(),
+            vec![PROGRESS, PROGRESS_FINISH],
+        ));
+        let mut h = crate::hist::Log2Histogram::new();
+        h.observe(5);
+        cases.push((
+            |t| validate_histograms_json(&format!("{{\"h\":{t}}}")).map(drop),
+            h.to_json(),
+            vec![HISTOGRAM],
+        ));
+        let mut trace = crate::perfetto::PerfettoTrace::new();
+        trace.thread_name(0, "TU0");
+        trace.begin_span(0, 1, "region");
+        trace.instant(0, 2, "fork");
+        trace.counter(2, "ipc", 3);
+        trace.end_span(0, 3);
+        cases.push((
+            |t| validate_perfetto(t).map(drop),
+            trace.finish(),
+            vec![PERFETTO],
+        ));
+        cases.push((
+            |t| validate_run_json(t).map(drop),
+            run_manifest().to_json(),
+            vec![RUN_MANIFEST],
+        ));
+        cases.push((
+            |t| validate_profile_json(t).map(drop),
+            profile_report(),
+            vec![PROFILE],
+        ));
+        cases.push((
+            |t| validate_attribution_json(t).map(drop),
+            attribution_report().to_json(),
+            vec![ATTRIBUTION],
+        ));
+        cases.push((
+            |t| validate_attr_summary(&json::parse(t)?, "t"),
+            "{\"wec_fills\":3,\"useful\":1,\"wasted\":1,\"victim_rescued\":0,\"still_resident\":1}"
+                .into(),
+            vec![ATTR_SUMMARY],
+        ));
+        cases.push((
+            |t| validate_job_record(&json::parse(t)?, "t"),
+            job_record("done", "cold", "", "{\"cycles\":48000}"),
+            vec![JOB_RECORD],
+        ));
+        cases.push((
+            validate_serve_stats_json,
+            STATS_V1.into(),
+            vec![SERVE_STATS],
+        ));
+        cases.push((
+            validate_serve_stats_json,
+            STATS_V2.into(),
+            vec![SERVE_STATS],
+        ));
+        cases.push((
+            |t| validate_router_stats_json(t).map(drop),
+            router_doc(),
+            vec![ROUTER_STATS],
+        ));
+        cases.push((
+            |t| validate_access_jsonl(t).map(drop),
+            "{\"t_ms\":1,\"method\":\"GET\",\"path\":\"/x\",\"status\":200,\"dur_us\":1,\"bytes\":2}"
+                .into(),
+            vec![ACCESS_LINE],
+        ));
+        cases.push((
+            |t| validate_dashboard_data_json(t).map(drop),
+            dashboard_doc(),
+            vec![DASHBOARD],
+        ));
+
+        let mut rejected = 0;
+        for (validate, doc, tables) in &cases {
+            let v = json::parse(doc).unwrap();
+            validate(&text(&v)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+            let ms = mutants(&v, tables);
+            assert!(ms.len() > 1, "no required field in {doc}");
+            for m in ms {
+                let t = text(&m);
+                assert!(validate(&t).is_err(), "accepted a mutant: {t}");
+                rejected += 1;
+            }
+        }
+        assert!(rejected > 300, "only {rejected} mutants");
     }
 
     #[test]
